@@ -6,9 +6,8 @@
 //! --check` recomputes the metrics and fails, naming the metric and the
 //! tolerance, when any strays outside its band — the CI analysis gate.
 
-use crate::jsonl::{parse_flat_object, Scalar};
 use crate::stream::{parse_epoch_metric, AnalysisReport, METRIC_NAMES};
-use phantom_metrics::json::{json_f64, json_str};
+use phantom_metrics::json::{json_f64, json_str, Json};
 use std::fmt::Write as _;
 
 /// Schema tag of baseline files.
@@ -69,42 +68,39 @@ pub struct Baseline {
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty baseline file")?;
-    let pairs = parse_flat_object(header).map_err(|e| format!("line 1: {e}"))?;
-    match pairs.iter().find(|(k, _)| k == "schema") {
-        Some((_, Scalar::Str(s))) if s == BASELINE_SCHEMA => {}
-        _ => return Err(format!("line 1: missing \"schema\":\"{BASELINE_SCHEMA}\"")),
+    let header = Json::parse_line(header, 1)?;
+    if header.get("schema").and_then(Json::as_str) != Some(BASELINE_SCHEMA) {
+        return Err(format!("line 1: missing \"schema\":\"{BASELINE_SCHEMA}\""));
     }
-    let scenario = match pairs.iter().find(|(k, _)| k == "scenario") {
-        Some((_, Scalar::Str(s))) => s.clone(),
-        _ => return Err("line 1: missing string field `scenario`".into()),
+    let scenario = match header.get("scenario").and_then(Json::as_str) {
+        Some(s) => s.to_string(),
+        None => return Err("line 1: missing string field `scenario`".into()),
     };
     let mut entries = Vec::new();
     for (n, line) in lines {
         if line.is_empty() {
             continue;
         }
-        let pairs = parse_flat_object(line).map_err(|e| format!("line {}: {e}", n + 1))?;
+        let obj = Json::parse_line(line, n + 1)?;
         let field = |key: &str| {
-            pairs
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
+            obj.get(key)
                 .ok_or_else(|| format!("line {}: missing `{key}`", n + 1))
         };
-        let metric = match field("metric")? {
-            Scalar::Str(s) => s.clone(),
-            _ => return Err(format!("line {}: `metric` must be a string", n + 1)),
+        let metric = match field("metric")?.as_str() {
+            Some(s) => s.to_string(),
+            None => return Err(format!("line {}: `metric` must be a string", n + 1)),
         };
         if !METRIC_NAMES.contains(&metric.as_str()) && parse_epoch_metric(&metric).is_none() {
             return Err(format!("line {}: unknown metric `{metric}`", n + 1));
         }
-        let num = |key: &str| match field(key)? {
-            Scalar::Num(v) => Ok(*v),
-            _ => Err(format!("line {}: `{key}` must be a number", n + 1)),
+        let num = |key: &str| {
+            field(key)?
+                .as_f64()
+                .ok_or_else(|| format!("line {}: `{key}` must be a number", n + 1))
         };
-        let mode = match field("mode")? {
-            Scalar::Str(s) if s == "abs" => TolMode::Abs,
-            Scalar::Str(s) if s == "rel" => TolMode::Rel,
+        let mode = match field("mode")?.as_str() {
+            Some("abs") => TolMode::Abs,
+            Some("rel") => TolMode::Rel,
             _ => return Err(format!("line {}: `mode` must be \"abs\" or \"rel\"", n + 1)),
         };
         let tol = num("tol")?;

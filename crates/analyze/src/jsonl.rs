@@ -399,14 +399,6 @@ pub fn analyze_trace_file(
     analyze_trace_str(&text, targets, window_secs).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Read just the manifest line of a trace file.
-pub fn read_trace_manifest(path: &Path) -> Result<Manifest, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let first = text.lines().next().ok_or("empty trace")?;
-    parse_manifest_line(first).map_err(|e| format!("{}: line 1: {e}", path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,9 +34,7 @@ pub use baseline::{
     check_report, default_tolerance, parse_baseline, render_baseline, Baseline, BaselineEntry,
     TolMode, BASELINE_SCHEMA,
 };
-pub use jsonl::{
-    analyze_trace_file, analyze_trace_str, lint_trace_str, read_trace_manifest, LintError,
-};
+pub use jsonl::{analyze_trace_file, analyze_trace_str, lint_trace_str, LintError};
 pub use stream::{
     parse_epoch_metric, AnalysisHandle, AnalysisReport, AnalysisSink, AnalysisTargets, EpochRow,
     EpochTarget, StreamingAnalyzer, WindowRow, DEFAULT_WINDOW_SECS, EPOCH_METRIC_SUFFIXES,

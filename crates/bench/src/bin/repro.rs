@@ -652,10 +652,12 @@ fn main() -> ExitCode {
                     let cmp = compare(&bench, &baseline);
                     let rendered = cmp.render(args.bench_threshold_pct);
                     print!("{rendered}");
-                    if let Some(cal) = &baseline.calendar {
-                        if *cal != phantom_sim::CALENDAR {
-                            println!("  [calendar changed: {cal} -> {}]", phantom_sim::CALENDAR);
-                        }
+                    if baseline.calendar != phantom_sim::CALENDAR {
+                        println!(
+                            "  [calendar changed: {} -> {}]",
+                            baseline.calendar,
+                            phantom_sim::CALENDAR
+                        );
                     }
                     let artifact = args.csv_dir.join("bench-compare.txt");
                     if std::fs::create_dir_all(&args.csv_dir).is_ok() {

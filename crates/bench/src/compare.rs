@@ -7,18 +7,15 @@
 //! [`EXIT_BENCH_REGRESSION`] so CI can gate on it (advisorily) without
 //! conflating it with a correctness failure.
 //!
-//! The reader is line-oriented on purpose: `BenchRecord::to_json` emits
-//! one flat object per run line, so each line parses with the same
-//! dependency-free scalar-object parser the trace analyzer uses.
-//! `phantom-bench/2` (no `calendar` field), `/3` (no `scale` object),
-//! `/4` (no `shard_scaling` array) and `/5` baselines are all accepted —
-//! comparing across the calendar change is the whole point of the gate,
-//! and the scale probe gates only when both recordings carry one for the
+//! The baseline is read as one JSON tree ([`Json`]). Only the live
+//! schema, `phantom-bench/5`, is read; any other is refused by name.
+//! The scale probe gates only when both recordings carry one for the
 //! same scene. Shard-scaling points are compared and rendered but never
 //! gate: parallel speedup depends on the machine's core count, which CI
 //! runners do not pin.
 
-use phantom_analyze::jsonl::{parse_flat_object, Scalar};
+use phantom_metrics::json::Json;
+use phantom_metrics::manifest::BENCH_SCHEMA;
 use phantom_metrics::BenchRecord;
 use std::fmt::Write as _;
 
@@ -40,7 +37,7 @@ pub struct BaselineRun {
     pub events: u64,
 }
 
-/// The scale probe parsed out of a `phantom-bench/4` baseline.
+/// The scale probe parsed out of a baseline.
 #[derive(Clone, Debug)]
 pub struct BaselineScale {
     /// Scene id of the probe.
@@ -51,7 +48,7 @@ pub struct BaselineScale {
     pub sessions_per_gb: f64,
 }
 
-/// One shard-scaling point parsed out of a `phantom-bench/5` baseline.
+/// One shard-scaling point parsed out of a baseline.
 #[derive(Clone, Debug)]
 pub struct BaselineShardPoint {
     /// Shard count of the point.
@@ -67,129 +64,90 @@ pub struct BaselineShardPoint {
 /// The subset of a `BENCH_phantom.json` document the comparison needs.
 #[derive(Clone, Debug)]
 pub struct BenchBaseline {
-    /// Schema tag of the baseline document.
-    pub schema: String,
-    /// Calendar tag, if the baseline is new enough to carry one.
-    pub calendar: Option<String>,
+    /// Calendar tag of the baseline recording.
+    pub calendar: String,
     /// Aggregate events per second across the baseline batch.
     pub events_per_sec: f64,
     /// Per-run baseline numbers.
     pub runs: Vec<BaselineRun>,
-    /// Scale probe, if the baseline is a `/4` record that carries one.
+    /// Scale probe, if the baseline recorded one.
     pub scale: Option<BaselineScale>,
-    /// Shard-scaling points, if the baseline is a `/5` record that
-    /// carries them; empty for older baselines.
+    /// Shard-scaling points; empty when the baseline recorded none.
     pub shard_scaling: Vec<BaselineShardPoint>,
 }
 
-fn top_level_value(line: &str, key: &str) -> Option<String> {
-    let rest = line.trim_start().strip_prefix(&format!("\"{key}\":"))?;
-    Some(
-        rest.trim()
-            .trim_end_matches(',')
-            .trim_matches('"')
-            .to_string(),
-    )
+/// A named field of a bench-record object.
+fn field<'a>(obj: &'a Json, what: &str, key: &str) -> Result<&'a Json, String> {
+    obj.get(key)
+        .ok_or_else(|| format!("{what} missing `{key}`"))
 }
 
-/// Parse a bench record document written by this workspace's
-/// `BenchRecord::write` (any schema version ≥ 2).
-pub fn parse_bench_json(text: &str) -> Result<BenchBaseline, String> {
-    let mut schema = None;
-    let mut calendar = None;
-    let mut events_per_sec = None;
-    let mut runs = Vec::new();
-    let mut scale = None;
-    let mut shard_scaling = Vec::new();
-    for line in text.lines() {
-        let t = line.trim();
-        if let Some(obj) = t.strip_prefix("\"scale\":").map(str::trim) {
-            // In a `/5` document with a `shard_scaling` probe the scale
-            // line is no longer last, so it carries a trailing comma.
-            let obj = obj.trim_end_matches(',');
-            let pairs =
-                parse_flat_object(obj).map_err(|e| format!("bad scale line `{obj}`: {e}"))?;
-            let mut scene = None;
-            let mut eps = None;
-            let mut spg = None;
-            for (k, v) in pairs {
-                match (k.as_str(), v) {
-                    ("scene", Scalar::Str(s)) => scene = Some(s),
-                    ("events_per_sec", Scalar::Num(n)) => eps = Some(n),
-                    ("sessions_per_gb", Scalar::Num(n)) => spg = Some(n),
-                    _ => {}
-                }
-            }
-            scale = Some(BaselineScale {
-                scene: scene.ok_or("scale line missing `scene`")?,
-                events_per_sec: eps.ok_or("scale line missing `events_per_sec`")?,
-                sessions_per_gb: spg.ok_or("scale line missing `sessions_per_gb`")?,
-            });
-        } else if t.starts_with("{\"shards\":") {
-            let obj = t.trim_end_matches(',');
-            let pairs =
-                parse_flat_object(obj).map_err(|e| format!("bad shard line `{obj}`: {e}"))?;
-            let mut shards = None;
-            let mut scene = None;
-            let mut eps = None;
-            let mut events = None;
-            for (k, v) in pairs {
-                match (k.as_str(), v) {
-                    ("shards", Scalar::Num(n)) => shards = Some(n as u64),
-                    ("scene", Scalar::Str(s)) => scene = Some(s),
-                    ("events_per_sec", Scalar::Num(n)) => eps = Some(n),
-                    ("events", Scalar::Num(n)) => events = Some(n as u64),
-                    _ => {}
-                }
-            }
-            shard_scaling.push(BaselineShardPoint {
-                shards: shards.ok_or("shard line missing `shards`")?,
-                scene: scene.ok_or("shard line missing `scene`")?,
-                events_per_sec: eps.ok_or("shard line missing `events_per_sec`")?,
-                events: events.ok_or("shard line missing `events`")?,
-            });
-        } else if t.starts_with("{\"id\":") || t.starts_with("{ \"id\":") {
-            let obj = t.trim_end_matches(',');
-            let pairs = parse_flat_object(obj).map_err(|e| format!("bad run line `{obj}`: {e}"))?;
-            let mut id = None;
-            let mut seed = None;
-            let mut eps = None;
-            let mut events = None;
-            for (k, v) in pairs {
-                match (k.as_str(), v) {
-                    ("id", Scalar::Str(s)) => id = Some(s),
-                    ("seed", Scalar::Num(n)) => seed = Some(n as u64),
-                    ("events_per_sec", Scalar::Num(n)) => eps = Some(n),
-                    ("events", Scalar::Num(n)) => events = Some(n as u64),
-                    _ => {}
-                }
-            }
-            runs.push(BaselineRun {
-                id: id.ok_or("run line missing `id`")?,
-                seed: seed.ok_or("run line missing `seed`")?,
-                events_per_sec: eps.ok_or("run line missing `events_per_sec`")?,
-                events: events.ok_or("run line missing `events`")?,
-            });
-        } else if schema.is_none() {
-            if let Some(v) = top_level_value(line, "schema") {
-                schema = Some(v);
-            }
-        }
-        if calendar.is_none() && !t.starts_with('{') {
-            if let Some(v) = top_level_value(line, "calendar") {
-                calendar = Some(v);
-            }
-        }
-        if events_per_sec.is_none() && !t.starts_with('{') {
-            if let Some(v) = top_level_value(line, "events_per_sec") {
-                events_per_sec = v.parse::<f64>().ok();
-            }
-        }
+fn num(obj: &Json, what: &str, key: &str) -> Result<f64, String> {
+    field(obj, what, key)?
+        .as_f64()
+        .ok_or_else(|| format!("{what} `{key}` is not a number"))
+}
+
+fn text(obj: &Json, what: &str, key: &str) -> Result<String, String> {
+    field(obj, what, key)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("{what} `{key}` is not a string"))
+}
+
+fn list<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    match doc.get(key) {
+        None => Ok(&[]),
+        Some(v) => v.as_arr().ok_or_else(|| format!("`{key}` is not an array")),
     }
+}
+
+/// Parse a `phantom-bench/5` document written by this workspace's
+/// `BenchRecord::write`. Any other schema is refused by name.
+pub fn parse_bench_json(text_in: &str) -> Result<BenchBaseline, String> {
+    let doc = Json::parse(text_in)?;
+    let schema = text(&doc, "bench record", "schema")?;
+    if schema != BENCH_SCHEMA {
+        return Err(format!(
+            "baseline is {schema:?}; only {BENCH_SCHEMA:?} records are read — \
+             re-record it with this build's `repro`"
+        ));
+    }
+    let runs = list(&doc, "runs")?
+        .iter()
+        .map(|r| {
+            Ok(BaselineRun {
+                id: text(r, "run", "id")?,
+                seed: num(r, "run", "seed")? as u64,
+                events_per_sec: num(r, "run", "events_per_sec")?,
+                events: num(r, "run", "events")? as u64,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let scale = doc
+        .get("scale")
+        .map(|s| {
+            Ok::<_, String>(BaselineScale {
+                scene: text(s, "scale", "scene")?,
+                events_per_sec: num(s, "scale", "events_per_sec")?,
+                sessions_per_gb: num(s, "scale", "sessions_per_gb")?,
+            })
+        })
+        .transpose()?;
+    let shard_scaling = list(&doc, "shard_scaling")?
+        .iter()
+        .map(|p| {
+            Ok(BaselineShardPoint {
+                shards: num(p, "shard point", "shards")? as u64,
+                scene: text(p, "shard point", "scene")?,
+                events_per_sec: num(p, "shard point", "events_per_sec")?,
+                events: num(p, "shard point", "events")? as u64,
+            })
+        })
+        .collect::<Result<_, String>>()?;
     Ok(BenchBaseline {
-        schema: schema.ok_or("no `schema` key found")?,
-        calendar,
-        events_per_sec: events_per_sec.ok_or("no aggregate `events_per_sec` found")?,
+        calendar: text(&doc, "bench record", "calendar")?,
+        events_per_sec: num(&doc, "bench record", "events_per_sec")?,
         runs,
         scale,
         shard_scaling,
@@ -500,7 +458,7 @@ pub fn compare(current: &BenchRecord, baseline: &BenchBaseline) -> Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phantom_metrics::manifest::{Manifest, BENCH_SCHEMA};
+    use phantom_metrics::manifest::Manifest;
     use phantom_metrics::RunRecord;
 
     fn record(ids: &[(&str, u64, f64, u64)], total_wall: f64) -> BenchRecord {
@@ -580,8 +538,7 @@ mod tests {
             1.0,
         );
         let parsed = parse_bench_json(&rec.to_json()).unwrap();
-        assert_eq!(parsed.schema, BENCH_SCHEMA);
-        assert_eq!(parsed.calendar.as_deref(), Some(phantom_sim::CALENDAR));
+        assert_eq!(parsed.calendar, phantom_sim::CALENDAR);
         assert_eq!(parsed.runs.len(), 2);
         assert_eq!(parsed.runs[0].id, "fig2");
         assert_eq!(parsed.runs[0].events, 1_000_000);
@@ -589,11 +546,12 @@ mod tests {
     }
 
     #[test]
-    fn accepts_a_v2_baseline_without_calendar() {
+    fn refuses_a_v4_baseline_by_name() {
         let doc = r#"{
-  "schema": "phantom-bench/2",
-  "manifest": {"schema":"phantom-bench/2","scenario":"repro"},
+  "schema": "phantom-bench/4",
+  "manifest": {"schema":"phantom-bench/4","scenario":"repro"},
   "jobs": 1,
+  "calendar": "timer-wheel/4096x8192ns",
   "total_wall_secs": 2,
   "runs_per_sec": 0.5,
   "events_total": 100,
@@ -603,11 +561,9 @@ mod tests {
   ]
 }
 "#;
-        let parsed = parse_bench_json(doc).unwrap();
-        assert_eq!(parsed.schema, "phantom-bench/2");
-        assert_eq!(parsed.calendar, None);
-        assert_eq!(parsed.runs.len(), 1);
-        assert_eq!(parsed.events_per_sec, 50.0);
+        let err = parse_bench_json(doc).unwrap_err();
+        assert!(err.contains("\"phantom-bench/4\""), "{err}");
+        assert!(err.contains(BENCH_SCHEMA), "{err}");
     }
 
     #[test]
@@ -651,7 +607,7 @@ mod tests {
         let mut base_rec = record(&[("fig2", 1996, 1.0, 1_000_000)], 1.0);
         base_rec.scale = Some(scale_probe(10_000_000, 4.0, 2_000_000_000));
         let base = parse_bench_json(&base_rec.to_json()).unwrap();
-        let bs = base.scale.as_ref().expect("scale parsed from /4 baseline");
+        let bs = base.scale.as_ref().expect("scale parsed from the baseline");
         assert_eq!(bs.scene, "metro-100k");
         assert!((bs.events_per_sec - 2_500_000.0).abs() < 1e-6);
         assert!((bs.sessions_per_gb - 50_000.0).abs() < 1e-6);
@@ -675,7 +631,7 @@ mod tests {
 
     #[test]
     fn scale_is_ignored_when_either_side_lacks_it_or_scenes_differ() {
-        // /3-style baseline without a scale object.
+        // A baseline without a scale object.
         let base =
             parse_bench_json(&record(&[("fig2", 1996, 1.0, 1_000_000)], 1.0).to_json()).unwrap();
         assert!(base.scale.is_none());
@@ -718,16 +674,11 @@ mod tests {
     #[test]
     fn shard_scaling_round_trips_and_stays_advisory() {
         let mut base_rec = record(&[("fig2", 1996, 1.0, 1_000_000)], 1.0);
-        // Include a scale probe: with `shard_scaling` present the scale
-        // line is no longer last, so it renders with a trailing comma
-        // that the parser must tolerate.
+        // Include a scale probe, so the record carries both blocks.
         base_rec.scale = Some(scale_probe(50_000_000, 25.0, 2_000_000_000));
         base_rec.shard_scaling = shard_points(&[(1, 4.0), (2, 2.5), (4, 1.6)]);
         let base = parse_bench_json(&base_rec.to_json()).unwrap();
-        assert!(
-            base.scale.is_some(),
-            "scale line with trailing comma parses"
-        );
+        assert!(base.scale.is_some(), "scale parses beside shard_scaling");
         assert_eq!(base.shard_scaling.len(), 3);
         assert_eq!(base.shard_scaling[0].shards, 1);
         assert_eq!(base.shard_scaling[0].scene, "metro-100k");
@@ -752,12 +703,12 @@ mod tests {
         assert!(txt.contains("shards=4 metro-100k"));
         assert!(txt.contains("advisory"));
 
-        // A /4 baseline (no shard lines) parses to an empty vec and
+        // A baseline without shard points parses to an empty vec and
         // produces no shard deltas.
-        let v4 =
+        let plain =
             parse_bench_json(&record(&[("fig2", 1996, 1.0, 1_000_000)], 1.0).to_json()).unwrap();
-        assert!(v4.shard_scaling.is_empty());
-        assert!(compare(&cur, &v4).shard_scaling.is_empty());
+        assert!(plain.shard_scaling.is_empty());
+        assert!(compare(&cur, &plain).shard_scaling.is_empty());
 
         // An event-count mismatch on a matched point is flagged.
         let mut drifted = record(&[("fig2", 1996, 1.0, 1_000_000)], 1.0);

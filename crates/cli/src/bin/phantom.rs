@@ -15,7 +15,6 @@
 //! `phantom-scene/1` document (declarative topology + workload +
 //! mid-run timeline); anything else is the line-oriented topology DSL.
 
-use phantom_analyze::jsonl::{parse_flat_object, Scalar};
 use phantom_analyze::{analyze_trace_str, lint_trace_str, AnalysisTargets, LintError};
 use phantom_cli::{
     compare_algorithms, parse_str, predict, run_scene_opts, run_spec_opts, sweep_u, RunOptions,
@@ -300,101 +299,62 @@ fn analyze(path: &str, window_secs: Option<f64>, out: Option<&str>) -> Result<()
     Ok(())
 }
 
-/// Find `key` in a parsed flat object.
-fn field<'a>(pairs: &'a [(String, Scalar)], key: &str) -> Option<&'a Scalar> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
 /// Numeric field, `None` when absent or `null`.
-fn num(pairs: &[(String, Scalar)], key: &str) -> Option<f64> {
-    match field(pairs, key) {
-        Some(Scalar::Num(v)) => Some(*v),
-        _ => None,
-    }
+fn num(obj: &Json, key: &str) -> Option<f64> {
+    obj.get(key).and_then(Json::as_f64)
 }
 
 /// String field, `None` when absent.
-fn text<'a>(pairs: &'a [(String, Scalar)], key: &str) -> Option<&'a str> {
-    match field(pairs, key) {
-        Some(Scalar::Str(s)) => Some(s),
-        _ => None,
-    }
+fn text<'a>(obj: &'a Json, key: &str) -> Option<&'a str> {
+    obj.get(key).and_then(Json::as_str)
 }
 
 /// `phantom profile`: re-read a `phantom-profile/1` document and render
-/// it as sorted self-time tables. The document is line-oriented by
-/// construction — every attribution row is one flat JSON object on its
-/// own line and every top-level scalar sits alone on its own line — so
-/// the same flat-object scanner that reads traces reads this.
+/// it as sorted self-time tables.
 fn show_profile(path: &str) -> Result<(), String> {
     let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut section = String::new();
-    // (section, name, events, self_secs, share)
-    let mut rows: Vec<(String, String, u64, f64, f64)> = Vec::new();
-    let mut scalars: Vec<(String, Scalar)> = Vec::new();
-    let mut manifest: Vec<(String, Scalar)> = Vec::new();
-    let mut calendar: Vec<(String, Scalar)> = Vec::new();
-    for (lineno, raw) in doc.lines().enumerate() {
-        let t = raw.trim().trim_end_matches(',');
-        if t == "{" || t == "}" || t == "]" || t.is_empty() {
-            continue;
-        }
-        let err = |e: String| format!("{path}:{}: {e}", lineno + 1);
-        if t.starts_with('{') {
-            let pairs = parse_flat_object(t).map_err(err)?;
-            rows.push((
-                section.clone(),
-                text(&pairs, "name").unwrap_or("?").to_string(),
-                num(&pairs, "events").unwrap_or(0.0) as u64,
-                num(&pairs, "self_secs").unwrap_or(0.0),
-                num(&pairs, "share").unwrap_or(0.0),
-            ));
-            continue;
-        }
-        let Some((key, val)) = t.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"').to_string();
-        let val = val.trim();
-        if val == "[" {
-            section = key;
-        } else if val.starts_with('{') {
-            let pairs = parse_flat_object(val).map_err(err)?;
-            match key.as_str() {
-                "manifest" => manifest = pairs,
-                "calendar" => calendar = pairs,
-                _ => {}
-            }
-        } else {
-            let pairs = parse_flat_object(&format!("{{\"v\": {val}}}")).map_err(err)?;
-            scalars.push((key, pairs.into_iter().next().expect("one pair").1));
-        }
-    }
-    if text(&scalars, "schema") != Some("phantom-profile/1") {
+    let doc = Json::parse(&doc).map_err(|e| format!("{path}: {e}"))?;
+    if text(&doc, "schema") != Some("phantom-profile/1") {
         return Err(format!("{path}: not a phantom-profile/1 document"));
     }
+    let manifest = doc.get("manifest").unwrap_or(&Json::Null);
+    let calendar = doc.get("calendar").unwrap_or(&Json::Null);
     println!(
         "phantom-profile/1 — {} (seed {})",
-        text(&manifest, "scenario").unwrap_or("?"),
-        num(&manifest, "seed").unwrap_or(0.0) as u64
+        text(manifest, "scenario").unwrap_or("?"),
+        num(manifest, "seed").unwrap_or(0.0) as u64
     );
     println!(
         "  loop wall {:.3}s of {:.3}s harness wall — {} events in {} dispatches \
          (batching {:.2}x), {:.0} events/s, {:.1}% attributed",
-        num(&scalars, "loop_wall_secs").unwrap_or(0.0),
-        num(&scalars, "wall_secs").unwrap_or(0.0),
-        num(&scalars, "events").unwrap_or(0.0) as u64,
-        num(&scalars, "dispatches").unwrap_or(0.0) as u64,
-        num(&scalars, "batching").unwrap_or(1.0),
-        num(&scalars, "events_per_sec").unwrap_or(0.0),
-        num(&scalars, "attributed_share").unwrap_or(0.0) * 100.0,
+        num(&doc, "loop_wall_secs").unwrap_or(0.0),
+        num(&doc, "wall_secs").unwrap_or(0.0),
+        num(&doc, "events").unwrap_or(0.0) as u64,
+        num(&doc, "dispatches").unwrap_or(0.0) as u64,
+        num(&doc, "batching").unwrap_or(1.0),
+        num(&doc, "events_per_sec").unwrap_or(0.0),
+        num(&doc, "attributed_share").unwrap_or(0.0) * 100.0,
     );
     for sec in ["nodes", "kinds", "phases"] {
-        let mut list: Vec<_> = rows.iter().filter(|r| r.0 == sec).collect();
+        // (name, events, self_secs, share)
+        let mut list: Vec<_> = doc
+            .get(sec)
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .map(|row| {
+                (
+                    text(row, "name").unwrap_or("?"),
+                    num(row, "events").unwrap_or(0.0) as u64,
+                    num(row, "self_secs").unwrap_or(0.0),
+                    num(row, "share").unwrap_or(0.0),
+                )
+            })
+            .collect();
         if list.is_empty() {
             continue;
         }
-        list.sort_by(|a, b| b.3.partial_cmp(&a.3).unwrap_or(std::cmp::Ordering::Equal));
+        list.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
         println!();
         println!(
             "  {:34} {:>12} {:>10} {:>7}",
@@ -403,26 +363,26 @@ fn show_profile(path: &str) -> Result<(), String> {
         for r in list {
             println!(
                 "    {:32} {:>12} {:>9.3}s {:>6.1}%",
+                r.0,
                 r.1,
                 r.2,
-                r.3,
-                r.4 * 100.0
+                r.3 * 100.0
             );
         }
     }
-    if !calendar.is_empty() {
+    if calendar.as_obj().is_some() {
         println!();
         println!(
             "  calendar: {} active inserts, {} wheel pushes, {} far pushes; \
              {} advances ({} promoted, {} sorted), occupancy mean {:.1} / max {}",
-            num(&calendar, "active_inserts").unwrap_or(0.0) as u64,
-            num(&calendar, "wheel_pushes").unwrap_or(0.0) as u64,
-            num(&calendar, "far_pushes").unwrap_or(0.0) as u64,
-            num(&calendar, "advances").unwrap_or(0.0) as u64,
-            num(&calendar, "promoted").unwrap_or(0.0) as u64,
-            num(&calendar, "sorted_entries").unwrap_or(0.0) as u64,
-            num(&calendar, "occupied_mean").unwrap_or(0.0),
-            num(&calendar, "occupied_max").unwrap_or(0.0) as u64,
+            num(calendar, "active_inserts").unwrap_or(0.0) as u64,
+            num(calendar, "wheel_pushes").unwrap_or(0.0) as u64,
+            num(calendar, "far_pushes").unwrap_or(0.0) as u64,
+            num(calendar, "advances").unwrap_or(0.0) as u64,
+            num(calendar, "promoted").unwrap_or(0.0) as u64,
+            num(calendar, "sorted_entries").unwrap_or(0.0) as u64,
+            num(calendar, "occupied_mean").unwrap_or(0.0),
+            num(calendar, "occupied_max").unwrap_or(0.0) as u64,
         );
     }
     Ok(())
@@ -446,7 +406,7 @@ fn show_status(path: &str, watch: bool) -> Result<(), String> {
             Err(e) => return Err(format!("cannot read {path}: {e}")),
         };
         seen_once = true;
-        let pairs = parse_flat_object(doc.trim()).map_err(|e| format!("{path}: {e}"))?;
+        let pairs = Json::parse(&doc).map_err(|e| format!("{path}: {e}"))?;
         if text(&pairs, "schema") != Some("phantom-status/1") {
             return Err(format!("{path}: not a phantom-status/1 document"));
         }

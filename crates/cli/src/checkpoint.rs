@@ -12,25 +12,18 @@
 //! The hard contract: a resumed run's event sequence is byte-identical
 //! to the suffix of the uninterrupted run. Everything here serves that —
 //! all `u64` values are rendered as JSON *strings* (RNG state words
-//! exceed 2^53, the flat parser decodes numbers through `f64`), floats
+//! exceed 2^53, and [`Json`] holds every number as an `f64`), floats
 //! inside node state use the engine's exact round-trip `key=value`
 //! encoding, and checkpoint instants are aligned to absolute sim-time
 //! boundaries so a resumed run re-checkpoints at the identical instants.
 
-use crate::exec::{
-    arm_flight, build_topology, collect_report, install_probes, run_driver, CheckpointEvery,
-    RunOptions,
-};
-use phantom_analyze::jsonl::{parse_flat_object, Scalar};
+use crate::exec::{build_topology, collect_report, run_driver, CheckpointEvery, RunOptions};
 use phantom_atm::AtmMsg;
-use phantom_metrics::json::json_str;
-use phantom_metrics::manifest::{
-    fnv1a_64, Manifest, CHECKPOINT_SCHEMA, METRICS_SCHEMA, TRACE_SCHEMA,
-};
+use phantom_metrics::json::{json_str, Json};
+use phantom_metrics::manifest::{fnv1a_64, Manifest, CHECKPOINT_SCHEMA, METRICS_SCHEMA};
 use phantom_metrics::write_atomic;
-use phantom_scenarios::atm::run_standard;
-use phantom_scene::{compile, parse_scene, CompiledScene};
-use phantom_sim::probe::{FilterProbe, JsonlProbe, KindSet, Probe};
+use phantom_scenarios::probes::{ProbeSpec, ProbeStack};
+use phantom_scene::{compile, parse_scene, RunPlan};
 use phantom_sim::telemetry::{self, RunCounters, RunMarker};
 use phantom_sim::{Engine, EngineSnapshot, EventSnapshot, NodeSnapshot, SimTime};
 use std::path::{Path, PathBuf};
@@ -127,24 +120,17 @@ pub fn render_checkpoint(
     out
 }
 
-fn find<'a>(pairs: &'a [(String, Scalar)], key: &str) -> Result<&'a Scalar, String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_str(pairs: &[(String, Scalar)], key: &str) -> Result<String, String> {
-    match find(pairs, key)? {
-        Scalar::Str(s) => Ok(s.clone()),
-        other => Err(format!("field {key:?} is not a string: {other:?}")),
+fn get_str(obj: &Json, key: &str) -> Result<String, String> {
+    match obj.get(key) {
+        Some(Json::Str(s)) => Ok(s.clone()),
+        Some(other) => Err(format!("field {key:?} is not a string: {}", other.dump())),
+        None => Err(format!("missing field {key:?}")),
     }
 }
 
 /// Checkpoint `u64` fields are JSON strings (exact beyond 2^53).
-fn get_u64(pairs: &[(String, Scalar)], key: &str) -> Result<u64, String> {
-    let raw = get_str(pairs, key)?;
+fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
+    let raw = get_str(obj, key)?;
     raw.parse()
         .map_err(|e| format!("field {key:?}={raw:?}: {e}"))
 }
@@ -155,7 +141,7 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointDoc, String> {
         .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
     let mut lines = text.lines().enumerate();
     let parse = |i: usize, line: &str| {
-        parse_flat_object(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))
+        Json::parse_line(line, i + 1).map_err(|e| format!("{}: {e}", path.display()))
     };
 
     let (i, line) = lines.next().ok_or("empty checkpoint")?;
@@ -399,25 +385,14 @@ impl<'a> CkptDriver<'a> {
 }
 
 /// A topology rebuilt from a checkpoint's embedded source, ready for
-/// [`Engine::restore`]. Carries whichever scenario-shaped leftovers the
-/// finish path needs (report collection differs between kinds).
+/// [`Engine::restore`]. A topology-DSL run also carries what its report
+/// collection needs; a scene run resumes through a `RunPlan` instead.
 pub enum Rebuilt {
     /// A `phantom-scene/1` run.
     Scene {
-        /// The parsed scene, boxed with the engine to keep the
-        /// variants small.
-        scene: Box<phantom_scene::Scene>,
         /// Freshly compiled engine (pre-restore), boxed to keep the
         /// variants near the same size.
         engine: Box<Engine<AtmMsg>>,
-        /// Topology handles.
-        net: phantom_atm::network::Network,
-        /// The trunk the standard panels watch.
-        bottleneck: phantom_atm::network::TrunkIdx,
-        /// ABR session ids traced in the standard panels.
-        traced: Vec<phantom_atm::network::SessionId>,
-        /// Tail start (seconds) for whole-run aggregate metrics.
-        tail_from_secs: f64,
     },
     /// A topology-DSL run.
     Topology {
@@ -430,45 +405,40 @@ pub enum Rebuilt {
     },
 }
 
+/// Refuse to restore a checkpoint into any topology other than its own.
+fn verify_config(doc: &CheckpointDoc, config: &str) -> Result<(), String> {
+    let hash = format!("{:016x}", fnv1a_64(config.as_bytes()));
+    if hash != doc.config_hash {
+        return Err(format!(
+            "config mismatch: checkpoint was taken under {} but the embedded \
+             source rebuilds to {hash} — refusing to restore",
+            doc.config_hash
+        ));
+    }
+    Ok(())
+}
+
+/// The checkpoint's embedded scene, verified against its fingerprint.
+fn scene_of(doc: &CheckpointDoc) -> Result<phantom_scene::Scene, String> {
+    let scene = parse_scene(&doc.source)?;
+    verify_config(doc, &scene.id)?;
+    Ok(scene)
+}
+
 /// Rebuild the checkpoint's topology from its embedded source and verify
 /// the config fingerprint — a checkpoint must never restore into a
 /// topology other than its own.
 pub fn rebuild(doc: &CheckpointDoc) -> Result<Rebuilt, String> {
-    let verify = |config: &str| -> Result<(), String> {
-        let hash = format!("{:016x}", fnv1a_64(config.as_bytes()));
-        if hash != doc.config_hash {
-            return Err(format!(
-                "config mismatch: checkpoint was taken under {} but the embedded \
-                 source rebuilds to {hash} — refusing to restore",
-                doc.config_hash
-            ));
-        }
-        Ok(())
-    };
     match doc.kind.as_str() {
         KIND_SCENE => {
-            let scene = parse_scene(&doc.source)?;
-            verify(&scene.id)?;
-            let CompiledScene {
-                engine,
-                net,
-                until: _,
-                bottleneck,
-                traced,
-                tail_from_secs,
-            } = compile(&scene, doc.seed);
+            let engine = compile(&scene_of(doc)?, doc.seed).engine;
             Ok(Rebuilt::Scene {
-                scene: Box::new(scene),
                 engine: Box::new(engine),
-                net,
-                bottleneck,
-                traced,
-                tail_from_secs,
             })
         }
         KIND_TOPOLOGY => {
             let spec = crate::parse::parse_str(&doc.source).map_err(|e| e.to_string())?;
-            verify(&format!("{spec:?}"))?;
+            verify_config(doc, &format!("{spec:?}"))?;
             let (engine, net) = build_topology(&spec);
             Ok(Rebuilt::Topology {
                 spec,
@@ -512,134 +482,84 @@ pub fn resume(
         ));
     }
 
-    // The artifact manifest must match the original run's, so flight
-    // dumps and re-checkpoints carry the same provenance.
-    let (manifest, rebuilt) = match rebuild(&doc)? {
-        r @ Rebuilt::Scene { .. } => {
-            let Rebuilt::Scene { ref scene, .. } = r else {
-                unreachable!()
-            };
-            (
-                Manifest::new(TRACE_SCHEMA, &scene.id, doc.seed, &scene.id),
-                r,
-            )
-        }
-        r @ Rebuilt::Topology { .. } => {
-            let Rebuilt::Topology { ref spec, .. } = r else {
-                unreachable!()
-            };
-            (
-                Manifest::new(
-                    METRICS_SCHEMA,
-                    &doc.scenario,
-                    doc.seed,
-                    &format!("{spec:?}"),
-                ),
-                r,
-            )
-        }
-    };
-
     // Checkpoint-during-resume inherits the original source verbatim.
     let mut opts = opts.clone();
     if opts.checkpoint_source.is_empty() {
         opts.checkpoint_source = doc.source.clone();
     }
+    // The suffix trace continues the original file, which already has
+    // its manifest line.
+    let probes = ProbeSpec {
+        trace_headerless: true,
+        ..opts.probe_spec(None)
+    };
+    // Restore the checkpointed dynamics into the freshly built topology,
+    // then drive it on to the horizon.
+    let drive = |engine: &mut Engine<AtmMsg>,
+                 manifest: &Manifest,
+                 marker: &RunMarker,
+                 kind: &'static str,
+                 scenario: &str| {
+        engine.restore(&doc.snap)?;
+        telemetry::preload(&doc.counters);
+        let mut ckpt_driver = CkptDriver::from_opts(&opts, manifest, kind, until, marker)?;
+        run_driver(
+            engine,
+            until,
+            &opts,
+            scenario,
+            doc.seed,
+            ckpt_driver.as_mut(),
+        )
+    };
 
-    let (_flight_guard, flight_probe) = arm_flight(&opts, &manifest);
-    let mut probes: Vec<Box<dyn Probe>> = Vec::new();
-    if let Some(path) = &opts.trace {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-            }
-        }
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("cannot create trace {}: {e}", path.display()))?;
-        let probe = JsonlProbe::new(file);
-        probes.push(if opts.trace_filter == KindSet::ALL {
-            Box::new(probe)
-        } else {
-            Box::new(FilterProbe::new(opts.trace_filter, probe))
+    if doc.kind == KIND_SCENE {
+        let scene = scene_of(&doc)?;
+        let plan = RunPlan {
+            probes,
+            until: Some(until),
+            ..RunPlan::new(&scene, doc.seed)
+        };
+        let out = plan.run(|d| drive(d.engine, d.manifest, d.marker, KIND_SCENE, &scene.id))?;
+        return Ok(ResumeOutcome {
+            rendered: out.result.render(0),
+            events: doc.snap.events_processed + out.events,
+            counters: out.counters,
         });
     }
-    if let Some(flight) = flight_probe {
-        probes.push(flight);
-    }
-    let guard = install_probes(probes);
-    let marker = telemetry::begin_run();
-    telemetry::preload(&doc.counters);
-
-    let outcome = match rebuilt {
-        Rebuilt::Scene {
-            scene,
-            mut engine,
-            net,
-            bottleneck,
-            traced,
-            tail_from_secs,
-        } => {
-            engine.restore(&doc.snap)?;
-            let mut ckpt_driver =
-                CkptDriver::from_opts(&opts, &manifest, KIND_SCENE, until, &marker)?;
-            run_driver(
-                &mut engine,
-                until,
-                &opts,
-                &scene.id,
-                doc.seed,
-                ckpt_driver.as_mut(),
-            )?;
-            drop(ckpt_driver);
-            let (engine, _net, result) = run_standard(
-                *engine,
-                net,
-                until,
-                &scene.id,
-                &scene.describe,
-                "compiled from a phantom-scene/1 file",
-                bottleneck,
-                &traced,
-                tail_from_secs,
-            );
-            let events = engine.events_processed();
-            drop(guard);
-            let counters = marker.finish();
-            ResumeOutcome {
-                rendered: result.render(0),
-                events,
-                counters,
-            }
-        }
-        Rebuilt::Topology {
-            spec,
-            mut engine,
-            net,
-        } => {
-            engine.restore(&doc.snap)?;
-            let mut ckpt_driver =
-                CkptDriver::from_opts(&opts, &manifest, KIND_TOPOLOGY, until, &marker)?;
-            run_driver(
-                &mut engine,
-                until,
-                &opts,
-                &doc.scenario,
-                doc.seed,
-                ckpt_driver.as_mut(),
-            )?;
-            drop(ckpt_driver);
-            drop(guard);
-            let counters = marker.finish();
-            let report = collect_report(&spec, &engine, &net, counters);
-            ResumeOutcome {
-                rendered: report.render(&spec),
-                events: report.events,
-                counters,
-            }
-        }
+    let Rebuilt::Topology {
+        spec,
+        mut engine,
+        net,
+    } = rebuild(&doc)?
+    else {
+        unreachable!("scene checkpoints resumed above")
     };
-    Ok(outcome)
+    // The artifact manifest matches the original run's, so flight dumps
+    // and re-checkpoints carry the same provenance.
+    let manifest = Manifest::new(
+        METRICS_SCHEMA,
+        &doc.scenario,
+        doc.seed,
+        &format!("{spec:?}"),
+    );
+    let stack = ProbeStack::install(&manifest, &probes)?;
+    let marker = telemetry::begin_run();
+    drive(
+        &mut engine,
+        &manifest,
+        &marker,
+        KIND_TOPOLOGY,
+        &doc.scenario,
+    )?;
+    stack.finish();
+    let counters = marker.finish();
+    let report = collect_report(&spec, &engine, &net, counters);
+    Ok(ResumeOutcome {
+        rendered: report.render(&spec),
+        events: report.events,
+        counters,
+    })
 }
 
 #[cfg(test)]
@@ -647,7 +567,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn checkpoint_round_trips_through_the_flat_parser() {
+    fn checkpoint_round_trips_through_the_reader() {
         let snap = EngineSnapshot {
             now: SimTime(123_456_789),
             events_processed: 42,

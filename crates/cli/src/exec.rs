@@ -2,6 +2,7 @@
 //! phantom prediction.
 
 use crate::spec::{AlgorithmSpec, TopologySpec, TrafficSpec};
+use phantom_analyze::AnalysisTargets;
 use phantom_atm::allocator::RateAllocator;
 use phantom_atm::network::{NetworkBuilder, SessionId, TrunkIdx};
 use phantom_atm::units::cps_to_mbps;
@@ -9,12 +10,11 @@ use phantom_atm::Traffic;
 use phantom_baselines::{Aprc, Capc, Eprca, Erica, Osu};
 use phantom_core::{PhantomAllocator, PhantomConfig, PhantomNi};
 use phantom_metrics::fairness::Session;
-use phantom_metrics::manifest::{
-    Manifest, METRICS_SCHEMA, POSTMORTEM_SCHEMA, PROFILE_SCHEMA, TRACE_SCHEMA,
-};
+use phantom_metrics::manifest::{Manifest, METRICS_SCHEMA, PROFILE_SCHEMA};
 use phantom_metrics::{jain_index, phantom_prediction, ProfileRecord, Registry, RunStatus, Table};
-use phantom_sim::flight::{self, FlightProbe};
-use phantom_sim::probe::{FilterProbe, JsonlProbe, KindSet, Probe, ProbeGuard, TeeProbe};
+use phantom_scenarios::probes::{ensure_parent, ProbeSpec, ProbeStack};
+use phantom_sim::flight;
+use phantom_sim::probe::KindSet;
 use phantom_sim::telemetry::{self, RunCounters};
 use phantom_sim::{profile, Engine, SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -91,8 +91,38 @@ pub struct RunOptions {
     /// conservative PDES shards. 0 (the default) keeps the serial
     /// engine. Incompatible with checkpointing for now — checkpoints
     /// would have to land exactly on epoch barriers to stay
-    /// well-defined, so the combination is rejected up front.
+    /// well-defined, so [`RunOptions::check`] rejects the combination.
     pub shards: usize,
+}
+
+impl RunOptions {
+    /// Refuse option combinations no run can honour; every entry point
+    /// calls this before building anything.
+    pub fn check(&self) -> Result<(), String> {
+        if self.shards > 0 && self.checkpoint_every.is_some() {
+            return Err(
+                "--shards is not yet compatible with --checkpoint-every: checkpoints are only \
+                 well-defined at shard epoch barriers; drop one of the two flags"
+                    .into(),
+            );
+        }
+        Ok(())
+    }
+
+    /// The probe stack these options ask for, plus an optional live
+    /// analysis tap (targets, window seconds).
+    pub(crate) fn probe_spec(&self, analysis: Option<(AnalysisTargets, f64)>) -> ProbeSpec {
+        ProbeSpec {
+            analysis,
+            trace: self.trace.clone(),
+            trace_filter: self.trace_filter,
+            trace_headerless: false,
+            flight: self.post_mortem.clone().map(|path| {
+                let depth = self.post_mortem_depth.unwrap_or(flight::DEFAULT_RING_CAP);
+                (path, depth)
+            }),
+        }
+    }
 }
 
 /// Checkpoint cadence: a simulated-time period, or an event-count period
@@ -193,60 +223,6 @@ pub fn run_spec(spec: &TopologySpec) -> Result<RunReport, String> {
     run_spec_opts(spec, &RunOptions::default())
 }
 
-/// Build the JSONL trace probe, if requested. Unlike the sweep
-/// harness, a CLI user asked for this file explicitly, so failures are
-/// hard errors rather than silent no-ops.
-pub(crate) fn trace_probe(
-    opts: &RunOptions,
-    manifest: &Manifest,
-) -> Result<Option<Box<dyn Probe>>, String> {
-    let Some(path) = &opts.trace else {
-        return Ok(None);
-    };
-    ensure_parent(path)?;
-    let file = std::fs::File::create(path)
-        .map_err(|e| format!("cannot create trace {}: {e}", path.display()))?;
-    let manifest_json = manifest.for_schema(TRACE_SCHEMA).to_json();
-    let probe = JsonlProbe::with_manifest(file, &manifest_json)
-        .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
-    Ok(Some(if opts.trace_filter == KindSet::ALL {
-        Box::new(probe)
-    } else {
-        Box::new(FilterProbe::new(opts.trace_filter, probe))
-    }))
-}
-
-/// Install every requested probe for a run: any subset of {trace,
-/// analysis tap, flight ring} composes through one [`TeeProbe`].
-pub(crate) fn install_probes(mut probes: Vec<Box<dyn Probe>>) -> Option<ProbeGuard> {
-    match probes.len() {
-        0 => None,
-        1 => Some(ProbeGuard::install(probes.pop().expect("len checked"))),
-        _ => Some(ProbeGuard::install(Box::new(
-            probes.into_iter().fold(TeeProbe::new(), TeeProbe::and),
-        ))),
-    }
-}
-
-/// Arm the panic flight recorder when `opts.post_mortem` asks for it,
-/// returning the disarm guard and the ring-feeding probe to tee into
-/// the run's probe chain. The dump's first line is the run manifest
-/// re-stamped with the post-mortem schema.
-pub(crate) fn arm_flight(
-    opts: &RunOptions,
-    manifest: &Manifest,
-) -> (Option<flight::FlightGuard>, Option<Box<dyn Probe>>) {
-    match &opts.post_mortem {
-        Some(path) => {
-            let manifest_json = manifest.for_schema(POSTMORTEM_SCHEMA).to_json();
-            let depth = opts.post_mortem_depth.unwrap_or(flight::DEFAULT_RING_CAP);
-            let guard = flight::arm(path, Some(&manifest_json), depth);
-            (Some(guard), Some(Box::new(FlightProbe)))
-        }
-        None => (None, None),
-    }
-}
-
 /// Write the `phantom-profile/1` artifact for a finished profile
 /// bracket. A CLI user asked for this file explicitly, so failures are
 /// hard errors (unlike the sweep harness, which degrades silently).
@@ -264,16 +240,6 @@ pub(crate) fn write_profile(
     record
         .write(path)
         .map_err(|e| format!("cannot write profile {}: {e}", path.display()))
-}
-
-fn ensure_parent(path: &Path) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-    }
-    Ok(())
 }
 
 /// Write the Prometheus-style snapshot to `path` and the JSON summary
@@ -470,13 +436,7 @@ pub(crate) fn collect_report(
 /// with every option on produces the same report as a bare [`run_spec`].
 pub fn run_spec_opts(spec: &TopologySpec, opts: &RunOptions) -> Result<RunReport, String> {
     spec.validate()?;
-    if opts.shards > 0 && opts.checkpoint_every.is_some() {
-        return Err(
-            "--shards is not yet compatible with --checkpoint-every: checkpoints are only \
-             well-defined at shard epoch barriers; drop one of the two flags"
-                .into(),
-        );
-    }
+    opts.check()?;
     // Scoped to this run; restored on drop, panics included.
     let _shard_guard = phantom_sim::ShardGuard::new(opts.shards);
     let wall_start = std::time::Instant::now();
@@ -496,15 +456,7 @@ pub fn run_spec_opts(spec: &TopologySpec, opts: &RunOptions) -> Result<RunReport
         net.bind_metrics(&mut engine, &r);
         r
     });
-    let (_flight_guard, flight_probe) = arm_flight(opts, &manifest);
-    let mut probes: Vec<Box<dyn Probe>> = Vec::new();
-    if let Some(trace) = trace_probe(opts, &manifest)? {
-        probes.push(trace);
-    }
-    if let Some(flight) = flight_probe {
-        probes.push(flight);
-    }
-    let guard = install_probes(probes);
+    let probes = ProbeStack::install(&manifest, &opts.probe_spec(None))?;
     let marker = telemetry::begin_run();
     let prof = opts.profile.as_ref().map(|_| profile::begin_profile());
 
@@ -524,7 +476,7 @@ pub fn run_spec_opts(spec: &TopologySpec, opts: &RunOptions) -> Result<RunReport
     drop(ckpt);
     let report = prof.map(profile::ProfileMarker::finish);
     let counters = marker.finish();
-    drop(guard); // flushes the trace file
+    probes.finish();
 
     if let (Some(path), Some(reg)) = (&opts.metrics, &registry) {
         write_metrics(path, reg, &manifest)?;
@@ -701,6 +653,9 @@ pub fn sweep_u(spec: &TopologySpec, us: &[f64], jobs: usize) -> Result<Table, St
 mod tests {
     use super::*;
     use crate::parse::parse_str;
+    use phantom_metrics::manifest::POSTMORTEM_SCHEMA;
+    use phantom_sim::flight::FlightProbe;
+    use phantom_sim::probe::ProbeGuard;
 
     const DUMBBELL: &str = "\
 switch s1
@@ -871,8 +826,7 @@ run 400ms seed=3
         for (file, tag) in [
             ("phantom-trace-v1.md", "phantom-trace/1"),
             ("phantom-metrics-v1.md", "phantom-metrics/1"),
-            ("phantom-bench-v2.md", "phantom-bench/2"),
-            ("phantom-bench-v3.md", "phantom-bench/3"),
+            ("phantom-bench-v5.md", "phantom-bench/5"),
             ("phantom-csv-v1.md", "phantom-csv/1"),
             ("phantom-scene-v1.md", "phantom-scene/1"),
             ("phantom-profile-v1.md", "phantom-profile/1"),
@@ -887,13 +841,13 @@ run 400ms seed=3
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A flight-recorder dump must round-trip through the analyzer's
-    /// flat-object parser: every line of the post-mortem — manifest,
-    /// snapshot, arena rows, retained events — is one parseable flat
-    /// JSON object, and the snapshot reflects the run that fed it.
+    /// A flight-recorder dump must round-trip through the JSON reader:
+    /// every line of the post-mortem — manifest, snapshot, arena rows,
+    /// retained events — is one flat JSON object, and the snapshot
+    /// reflects the run that fed it.
     #[test]
-    fn flight_dump_round_trips_through_the_flat_parser() {
-        use phantom_analyze::jsonl::{parse_flat_object, Scalar};
+    fn flight_dump_round_trips_through_the_reader() {
+        use phantom_metrics::json::Json;
 
         let dir = std::env::temp_dir().join("phantom_cli_flight_test");
         let _ = std::fs::create_dir_all(&dir);
@@ -906,45 +860,41 @@ run 400ms seed=3
         let report = run_spec_opts(&spec, &RunOptions::default()).unwrap();
         let dump = flight::dump_now("inspection").expect("recorder is armed");
 
-        let get = |pairs: &[(String, Scalar)], key: &str| -> Scalar {
-            pairs
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("{key} missing"))
-        };
         let mut arenas = 0u32;
         let mut events = 0u32;
         for (i, line) in dump.lines().enumerate() {
-            let pairs =
-                parse_flat_object(line).unwrap_or_else(|e| panic!("dump line {i}: {e}: {line}"));
+            let obj = Json::parse_line(line, i + 1).unwrap_or_else(|e| panic!("{e}: {line}"));
+            let fields = obj
+                .as_obj()
+                .unwrap_or_else(|| panic!("not an object: {line}"));
+            assert!(
+                fields
+                    .iter()
+                    .all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_))),
+                "line {i} is flat: {line}"
+            );
+            let get = |key: &str| obj.get(key).unwrap_or_else(|| panic!("{key} missing"));
             match i {
-                0 => assert_eq!(
-                    get(&pairs, "schema"),
-                    Scalar::Str("phantom-postmortem/1".into())
-                ),
+                0 => assert_eq!(get("schema").as_str(), Some("phantom-postmortem/1")),
                 1 => {
-                    assert_eq!(get(&pairs, "record"), Scalar::Str("snapshot".into()));
-                    assert_eq!(get(&pairs, "panic"), Scalar::Str("inspection".into()));
-                    let dispatches = match get(&pairs, "dispatches") {
-                        Scalar::Num(n) => n as u64,
-                        other => panic!("dispatches: {other:?}"),
-                    };
+                    assert_eq!(get("record").as_str(), Some("snapshot"));
+                    assert_eq!(get("panic").as_str(), Some("inspection"));
+                    let dispatches = get("dispatches").as_f64().expect("dispatches") as u64;
                     assert!(
                         dispatches <= report.events && dispatches > 0,
                         "snapshot dispatches {dispatches} vs {} events",
                         report.events
                     );
                 }
-                _ => match get(&pairs, "record") {
-                    Scalar::Str(r) if r == "arena" => {
-                        let _ = get(&pairs, "type");
+                _ => match get("record").as_str() {
+                    Some("arena") => {
+                        let _ = get("type");
                         arenas += 1;
                     }
-                    Scalar::Str(r) if r == "event" => {
+                    Some("event") => {
                         // phantom-trace/1 field layout, tagged as a record
-                        let _ = get(&pairs, "t");
-                        let _ = get(&pairs, "kind");
+                        let _ = get("t");
+                        let _ = get("kind");
                         events += 1;
                     }
                     other => panic!("unexpected record on line {i}: {other:?}"),

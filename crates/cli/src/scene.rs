@@ -1,37 +1,20 @@
 //! Run a `phantom-scene/1` file through the CLI's observability stack.
 //!
-//! The trace manifest and probe plumbing mirror the sweep harness
-//! (`phantom_scenarios::sweep`) exactly — scenario and config are both
-//! the scene id — so a trace written by `phantom run scene.json --trace`
-//! is byte-identical to the one `repro <id> --scenes DIR --trace-dir`
-//! writes for the same seed. The analysis tap, by contrast, uses the
-//! targets *the scene itself declares* (`analysis_targets`), since the
-//! file in hand is the authority when running it directly.
+//! The run itself is a [`RunPlan`]; this module only maps
+//! [`RunOptions`] onto it and writes the CLI-only artifacts (metrics
+//! snapshot, engine profile). The analysis tap uses the targets *the
+//! scene itself declares* (`analysis_targets`), since the file in hand
+//! is the authority when running it directly.
 
 use crate::checkpoint::{CkptDriver, KIND_SCENE};
-use crate::exec::{
-    arm_flight, install_probes, run_driver, trace_probe, write_metrics, write_profile, RunOptions,
-};
-use phantom_analyze::{AnalysisHandle, AnalysisReport, AnalysisSink, StreamingAnalyzer};
-use phantom_metrics::manifest::{Manifest, METRICS_SCHEMA, TRACE_SCHEMA};
-use phantom_metrics::{ExperimentResult, Registry};
-use phantom_scenarios::atm::run_standard;
-use phantom_scene::{analysis_targets, compile, CompiledScene, Scene};
-use phantom_sim::probe::Probe;
+use crate::exec::{run_driver, write_metrics, write_profile, RunOptions};
+use phantom_metrics::manifest::METRICS_SCHEMA;
+use phantom_metrics::Registry;
+use phantom_scene::{analysis_targets, RunPlan, Scene};
 use phantom_sim::profile;
-use phantom_sim::telemetry::{self, RunCounters};
 
 /// Everything one scene run produced.
-pub struct SceneReport {
-    /// The standard figure panels + metrics (same output as `repro`).
-    pub result: ExperimentResult,
-    /// Simulator events dispatched by this run.
-    pub events: u64,
-    /// Drop/retransmit/queue-peak telemetry observed during the run.
-    pub counters: RunCounters,
-    /// The live analysis report, when a window was requested.
-    pub analysis: Option<AnalysisReport>,
-}
+pub use phantom_scene::RunOutcome as SceneReport;
 
 /// Compile and run a validated scene with the requested observability:
 /// optional JSONL trace, optional metrics snapshot, optional live
@@ -44,81 +27,31 @@ pub fn run_scene_opts(
     analyze_window: Option<f64>,
     opts: &RunOptions,
 ) -> Result<SceneReport, String> {
-    if opts.shards > 0 && opts.checkpoint_every.is_some() {
-        return Err(
-            "--shards is not yet compatible with --checkpoint-every: checkpoints are only \
-             well-defined at shard epoch barriers; drop one of the two flags"
-                .into(),
-        );
-    }
+    opts.check()?;
     // Scoped to this run; restored on drop, panics included.
     let _shard_guard = phantom_sim::ShardGuard::new(opts.shards);
     let wall_start = std::time::Instant::now();
-    let manifest = Manifest::new(TRACE_SCHEMA, &scene.id, seed, &scene.id);
-    let CompiledScene {
-        mut engine,
-        net,
-        until,
-        bottleneck,
-        traced,
-        tail_from_secs,
-    } = compile(scene, seed);
-
-    let registry = opts.metrics.as_ref().map(|_| {
-        let r = Registry::new();
-        net.bind_metrics(&mut engine, &r);
-        r
-    });
-
-    let (tap, handle) = match analyze_window {
-        Some(window) => {
-            let analyzer = StreamingAnalyzer::new(&manifest, analysis_targets(scene), window);
-            let (sink, handle) = AnalysisSink::new(analyzer);
-            (Some(Box::new(sink) as Box<dyn Probe>), Some(handle))
-        }
-        None => (None, None),
+    let plan = RunPlan {
+        probes: opts.probe_spec(analyze_window.map(|w| (analysis_targets(scene), w))),
+        ..RunPlan::new(scene, seed)
     };
-    let (_flight_guard, flight_probe) = arm_flight(opts, &manifest);
-    let mut probes: Vec<Box<dyn Probe>> = Vec::new();
-    if let Some(tap) = tap {
-        probes.push(tap);
-    }
-    if let Some(trace) = trace_probe(opts, &manifest)? {
-        probes.push(trace);
-    }
-    if let Some(flight) = flight_probe {
-        probes.push(flight);
-    }
-    let guard = install_probes(probes);
-
-    let marker = telemetry::begin_run();
+    let manifest = plan.manifest();
+    let registry = opts.metrics.as_ref().map(|_| Registry::new());
     let prof = opts.profile.as_ref().map(|_| profile::begin_profile());
-    let events_before = phantom_sim::thread_events_dispatched();
-    // Pre-drive the engine to `until` in heartbeat slices when liveness
-    // or checkpointing was requested; `run_standard`'s first action is
-    // `run_until(until)`, which then finds no work left, so the results
-    // are identical.
-    let mut ckpt = CkptDriver::from_opts(opts, &manifest, KIND_SCENE, until, &marker)?;
-    if opts.verbose || opts.status_file.is_some() || ckpt.is_some() {
-        run_driver(&mut engine, until, opts, &scene.id, seed, ckpt.as_mut())?;
-    }
-    drop(ckpt);
-    let (_engine, _net, result) = run_standard(
-        engine,
-        net,
-        until,
-        &scene.id,
-        &scene.describe,
-        "compiled from a phantom-scene/1 file",
-        bottleneck,
-        &traced,
-        tail_from_secs,
-    );
-    let events = phantom_sim::thread_events_dispatched() - events_before;
+    let outcome = plan.run(|d| {
+        if let Some(r) = &registry {
+            d.net.bind_metrics(d.engine, r);
+        }
+        // Pre-drive in heartbeat slices only when liveness or
+        // checkpointing was requested; otherwise the plan's standard
+        // collection runs the whole horizon in one call.
+        let mut ckpt = CkptDriver::from_opts(opts, d.manifest, KIND_SCENE, d.until, d.marker)?;
+        if opts.verbose || opts.status_file.is_some() || ckpt.is_some() {
+            run_driver(d.engine, d.until, opts, &scene.id, seed, ckpt.as_mut())?;
+        }
+        Ok(())
+    })?;
     let report = prof.map(profile::ProfileMarker::finish);
-    let counters = marker.finish();
-    drop(guard); // flushes the trace file
-    let analysis = handle.and_then(AnalysisHandle::finish);
 
     if let (Some(path), Some(reg)) = (&opts.metrics, &registry) {
         write_metrics(path, reg, &manifest.for_schema(METRICS_SCHEMA))?;
@@ -126,13 +59,7 @@ pub fn run_scene_opts(
     if let (Some(path), Some(report)) = (&opts.profile, report) {
         write_profile(path, &manifest, wall_start.elapsed().as_secs_f64(), report)?;
     }
-
-    Ok(SceneReport {
-        result,
-        events,
-        counters,
-        analysis,
-    })
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -207,5 +134,31 @@ mod tests {
         let plain = run_scene_opts(&scene, 1996, None, &RunOptions::default()).unwrap();
         assert_eq!(plain.events, report.events);
         assert_eq!(plain.result.render(0), rendered);
+    }
+
+    /// `--shards` with `--checkpoint-every` is refused the same way on
+    /// the topology-file path and the scene path, before anything runs.
+    #[test]
+    fn shards_with_checkpoints_are_refused_on_both_paths() {
+        let opts = RunOptions {
+            shards: 2,
+            checkpoint_every: Some(crate::CheckpointEvery::SimSecs(0.1)),
+            checkpoint_dir: Some(std::env::temp_dir().join("phantom-never-written")),
+            checkpoint_source: "unused".into(),
+            ..RunOptions::default()
+        };
+        let spec = crate::parse_str(
+            "switch s1\nswitch s2\ntrunk s1 s2 150mbps 10us\n\
+             session s1 s2 greedy\nalgorithm phantom u=5\nrun 10ms seed=3\n",
+        )
+        .unwrap();
+        let topology = crate::run_spec_opts(&spec, &opts).expect_err("refused");
+        let scene = parse_scene(DUMBBELL_SCENE).unwrap();
+        let scene = run_scene_opts(&scene, 1996, None, &opts)
+            .err()
+            .expect("refused");
+        assert_eq!(topology, scene);
+        assert!(topology.contains("--shards"), "{topology}");
+        assert!(topology.contains("--checkpoint-every"), "{topology}");
     }
 }

@@ -1,9 +1,10 @@
-//! Property-based tests of the fairness mathematics: the max-min
+//! Property-based tests of the fairness mathematics — the max-min
 //! water-filler must produce feasible, cap-respecting, bottlenecked
-//! allocations on arbitrary topologies — the reference every experiment
-//! is judged against.
+//! allocations on arbitrary topologies, the reference every experiment
+//! is judged against — and of the JSON reader under hostile input.
 
 use phantom_metrics::fairness::Session;
+use phantom_metrics::json::{Json, MAX_DEPTH};
 use phantom_metrics::{jain_index, phantom_prediction, weighted_max_min};
 use proptest::prelude::*;
 
@@ -119,5 +120,51 @@ proptest! {
     fn jain_of_equal_rates_is_one(n in 1usize..50, v in 0.1f64..1e6) {
         let rates = vec![v; n];
         prop_assert!((jain_index(&rates) - 1.0).abs() < 1e-9);
+    }
+}
+
+/// Bytes that are mostly JSON punctuation, so generated documents get
+/// past the first byte into the reader's nesting, string, escape and
+/// number paths (plus one two-byte UTF-8 scalar and a control byte).
+const JSONISH: &[u8] = b"{}[]\":,-+.0123456789eEtrufalsn\\/ \n\tu\x01\xc3\xa9";
+
+/// An error from the JSON reader names where it stopped.
+fn has_line_col(err: &str) -> bool {
+    let Some(rest) = err.strip_prefix("line ") else {
+        return false;
+    };
+    let (line, rest) = rest.split_once(" col ").unwrap_or(("", ""));
+    let col = rest.split_once(':').map_or("", |(c, _)| c);
+    line.parse::<usize>().is_ok() && col.parse::<usize>().is_ok()
+}
+
+proptest! {
+    /// Hostile input: the one JSON reader takes scenes, bench records,
+    /// checkpoints, baselines, profiles, status files and daemon bodies
+    /// from outside the program. Arbitrary bytes (lossy UTF-8) never
+    /// panic it, and every rejection carries `line N col M`.
+    #[test]
+    fn json_reader_never_panics_and_locates_errors(
+        bytes in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..512),
+            proptest::collection::vec((0..JSONISH.len()).prop_map(|i| JSONISH[i]), 0..512),
+        ]
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(e) = Json::parse(&text) {
+            prop_assert!(has_line_col(&e), "no line:col in {e:?} for {text:?}");
+        }
+    }
+
+    /// Nesting past `MAX_DEPTH` is refused with a located error before
+    /// the recursive descent can exhaust the stack.
+    #[test]
+    fn json_reader_caps_nesting(extra in 1usize..2000, arrays in any::<bool>()) {
+        let depth = MAX_DEPTH + extra;
+        let (open, close) = if arrays { ("[", "]") } else { ("{\"k\":", "}") };
+        let text = format!("{}0{}", open.repeat(depth), close.repeat(depth));
+        let err = Json::parse(&text).expect_err("too deep");
+        prop_assert!(err.contains("nesting too deep"), "{err}");
+        prop_assert!(has_line_col(&err), "{err}");
     }
 }

@@ -17,6 +17,8 @@
 //! * [`compare`] — the cross-algorithm summary tables.
 //! * [`ablation`] — design-choice sweeps (Δt, α, u, residual mode).
 //! * [`registry`] — string-keyed access to every experiment for the CLI.
+//! * [`probes`] — the probe stack (analysis tap, trace, flight ring)
+//!   every run harness installs.
 //! * [`sweep`] — parallel fan-out of independent `(experiment, seed)`
 //!   runs across OS threads, with results identical to a serial run.
 //! * [`shape`] — per-figure expected-shape tables (fixed points,
@@ -29,6 +31,7 @@ pub mod ablation;
 pub mod atm;
 pub mod common;
 pub mod compare;
+pub mod probes;
 pub mod registry;
 pub mod shape;
 pub mod sweep;

@@ -9,13 +9,14 @@
 //!
 //! Uses only `std::thread::scope`; no thread-pool dependency.
 
+use crate::probes::{ProbeSpec, ProbeStack};
 use crate::registry::{run_experiment, ExperimentOutput};
 use crate::shape::targets_for;
-use phantom_analyze::{AnalysisHandle, AnalysisReport, AnalysisSink, StreamingAnalyzer};
-use phantom_metrics::manifest::{Manifest, POSTMORTEM_SCHEMA, PROFILE_SCHEMA, TRACE_SCHEMA};
+use phantom_analyze::AnalysisReport;
+use phantom_metrics::manifest::{Manifest, PROFILE_SCHEMA, TRACE_SCHEMA};
 use phantom_metrics::{ProfileRecord, RunStatus};
 use phantom_sim::flight;
-use phantom_sim::probe::{FilterProbe, JsonlProbe, KindSet, Probe, ProbeGuard, TeeProbe};
+use phantom_sim::probe::KindSet;
 use phantom_sim::telemetry::{self, RunCounters};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -177,72 +178,35 @@ pub struct SweepRun {
     pub analysis: Option<AnalysisReport>,
 }
 
-/// Build the per-run JSONL trace probe, if a trace directory is
-/// configured. Any I/O failure silently disables tracing for this run
-/// rather than aborting the sweep.
-fn trace_probe(job: &SweepJob, opts: &SweepOptions) -> Option<Box<dyn Probe>> {
-    let dir = opts.trace_dir.as_ref()?;
-    std::fs::create_dir_all(dir).ok()?;
-    let path = dir.join(format!("{}-{}.jsonl", job.id, job.seed));
-    let file = std::fs::File::create(path).ok()?;
-    let manifest = Manifest::new(TRACE_SCHEMA, &job.id, job.seed, &job.id);
-    let probe = JsonlProbe::with_manifest(file, &manifest.to_json()).ok()?;
-    Some(if opts.trace_filter == KindSet::ALL {
-        Box::new(probe)
-    } else {
-        Box::new(FilterProbe::new(opts.trace_filter, probe))
-    })
-}
-
-/// Build the live analysis tap, if enabled. The sink carries the same
-/// manifest the trace file does, so re-analyzing the file reproduces the
-/// live report byte-for-byte.
-fn analysis_sink(job: &SweepJob, opts: &SweepOptions) -> Option<(Box<dyn Probe>, AnalysisHandle)> {
-    let window = opts.analyze_window?;
-    let manifest = Manifest::new(TRACE_SCHEMA, &job.id, job.seed, &job.id);
-    let analyzer = StreamingAnalyzer::new(&manifest, targets_for(&job.id), window);
-    let (sink, handle) = AnalysisSink::new(analyzer);
-    Some((Box::new(sink), handle))
-}
-
-/// Arm the panic flight recorder for one run, if a post-mortem
-/// directory is configured. Mirrors the profile writer's silent-degrade
-/// semantics: an uncreatable directory disables the recorder for this
-/// run rather than aborting the sweep.
-fn flight_recorder(
-    job: &SweepJob,
-    opts: &SweepOptions,
-) -> Option<(flight::FlightGuard, Box<dyn Probe>)> {
-    let dir = opts.post_mortem_dir.as_ref()?;
-    std::fs::create_dir_all(dir).ok()?;
-    let path = dir.join(format!("{}-{}-postmortem.jsonl", job.id, job.seed));
-    let manifest = Manifest::new(POSTMORTEM_SCHEMA, &job.id, job.seed, &job.id);
-    let depth = opts.post_mortem_depth.unwrap_or(flight::DEFAULT_RING_CAP);
-    let guard = flight::arm(&path, Some(&manifest.to_json()), depth);
-    Some((guard, Box::new(flight::FlightProbe)))
+/// The probes one job asks for: files are named `<id>-<seed>…` in the
+/// configured directories, so parallel workers never collide.
+fn probe_spec(job: &SweepJob, opts: &SweepOptions) -> ProbeSpec {
+    let name = |dir: &PathBuf, suffix: &str| dir.join(format!("{}-{}{suffix}", job.id, job.seed));
+    ProbeSpec {
+        analysis: opts.analyze_window.map(|w| (targets_for(&job.id), w)),
+        trace: opts.trace_dir.as_ref().map(|d| name(d, ".jsonl")),
+        trace_filter: opts.trace_filter,
+        trace_headerless: false,
+        flight: opts.post_mortem_dir.as_ref().map(|d| {
+            let depth = opts.post_mortem_depth.unwrap_or(flight::DEFAULT_RING_CAP);
+            (name(d, "-postmortem.jsonl"), depth)
+        }),
+    }
 }
 
 fn run_one(job: &SweepJob, opts: &SweepOptions) -> SweepRun {
-    let (tap, handle) = match analysis_sink(job, opts) {
-        Some((tap, handle)) => (Some(tap), Some(handle)),
-        None => (None, None),
-    };
-    // Held for the whole run: dropping disarms the recorder.
-    let (_flight_guard, flight_tap) = match flight_recorder(job, opts) {
-        Some((guard, tap)) => (Some(guard), Some(tap)),
-        None => (None, None),
-    };
-    let mut probes: Vec<Box<dyn Probe>> = Vec::new();
-    probes.extend(flight_tap);
-    probes.extend(tap);
-    probes.extend(trace_probe(job, opts));
-    let guard = match probes.len() {
-        0 => None,
-        1 => Some(ProbeGuard::install(probes.pop().expect("len checked"))),
-        _ => Some(ProbeGuard::install(Box::new(
-            probes.into_iter().fold(TeeProbe::new(), TeeProbe::and),
-        ))),
-    };
+    let manifest = Manifest::new(TRACE_SCHEMA, &job.id, job.seed, &job.id);
+    // An I/O failure drops this run's trace and flight ring rather than
+    // aborting the sweep; the analysis tap, which `--check` gates on,
+    // does no I/O and always runs.
+    let spec = probe_spec(job, opts);
+    let probes = ProbeStack::install(&manifest, &spec).unwrap_or_else(|_| {
+        let tap = ProbeSpec {
+            analysis: spec.analysis.clone(),
+            ..ProbeSpec::default()
+        };
+        ProbeStack::install(&manifest, &tap).expect("a tap alone does no I/O")
+    });
     let marker = telemetry::begin_run();
     let prof = opts
         .profile_dir
@@ -258,7 +222,7 @@ fn run_one(job: &SweepJob, opts: &SweepOptions) -> SweepRun {
     let wall_secs = start.elapsed().as_secs_f64();
     if let (Some(bracket), Some(dir)) = (prof, opts.profile_dir.as_ref()) {
         let record = ProfileRecord {
-            manifest: Manifest::new(PROFILE_SCHEMA, &job.id, job.seed, &job.id),
+            manifest: manifest.for_schema(PROFILE_SCHEMA),
             wall_secs,
             report: bracket.finish(),
         };
@@ -267,8 +231,7 @@ fn run_one(job: &SweepJob, opts: &SweepOptions) -> SweepRun {
         let _ = record.write(&dir.join(format!("{}-{}-profile.json", job.id, job.seed)));
     }
     let counters = marker.finish();
-    drop(guard); // flushes the trace file
-    let analysis = handle.and_then(AnalysisHandle::finish);
+    let analysis = probes.finish();
     SweepRun {
         job: job.clone(),
         output,

@@ -5,8 +5,8 @@
 //! human sees on stderr — wrapped in a stable one-line JSON envelope
 //! instead of a prose prefix.
 
-use crate::json::Json;
 use crate::model::Scene;
+use phantom_metrics::json::Json;
 
 /// Schema tag on every check document.
 pub const CHECK_SCHEMA: &str = "phantom-check/1";

@@ -14,10 +14,10 @@
 //! validation, every error naming the offending key) →
 //! [`compile::compile`] (lowering onto the existing
 //! [`phantom_sim::Engine`] / `NetworkBuilder`, timeline events
-//! scheduled as admin messages) → [`run::run_scene`] (the standard
-//! figure panels and metrics) — or [`run::register_scene`], which
-//! makes the scene a first-class experiment id for `repro` and the
-//! parallel sweep runner.
+//! scheduled as admin messages) → [`run::RunPlan`] (probes, drive, and
+//! the standard figure panels and metrics) — or [`run::register_scene`],
+//! which makes the scene a first-class experiment id for `repro` and
+//! the parallel sweep runner.
 //!
 //! Determinism contract: a compiled scene is a pure function of
 //! `(scene, seed)`, and a scene that transliterates a hard-coded
@@ -29,18 +29,17 @@
 
 pub mod check;
 pub mod compile;
-pub mod json;
 pub mod model;
 pub mod run;
 
 pub use check::{check_error_json, check_ok_json, CHECK_SCHEMA};
 pub use compile::{compile, CompiledScene};
-pub use json::Json;
 pub use model::{
     AnalysisDecl, EpochDecl, EventKind, GenerateDecl, GenerateKind, Scene, SessionDecl,
     TimelineEvent, TrafficDecl, TrunkDecl, SCENE_SCHEMA,
 };
+pub use phantom_metrics::json::Json;
 pub use run::{
     analysis_targets, load_scene_dir, load_scene_file, parse_scene, register_scene, run_scene,
-    scale_scene, shard_scale_scene,
+    scale_scene, shard_scale_scene, Drive, RunOutcome, RunPlan,
 };

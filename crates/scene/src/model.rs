@@ -13,7 +13,7 @@
 //! `sessions[2].path[1]: no trunk between ...`), so a typo in a scene
 //! file can never silently change the experiment.
 
-use crate::json::Json;
+use phantom_metrics::json::Json;
 use phantom_metrics::json::{json_f64, json_str};
 use std::fmt::Write as _;
 

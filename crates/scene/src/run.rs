@@ -1,20 +1,29 @@
 //! Running scenes and registering them as first-class experiments.
 //!
+//! [`RunPlan`] is the one scene-run pipeline: compile, probe, drive,
+//! collect.
+//!
 //! [`register_scene`] wires a parsed scene into the scenario registry
 //! (so `repro <id>` and the sweep runner treat it exactly like a
 //! built-in figure) and into the shape registry (so `--analyze` checks
 //! it against the targets its own topology and timeline predict,
 //! including per-perturbation-epoch fixed points).
 
-use crate::compile::compile;
+use crate::compile::{compile, CompiledScene};
 use crate::model::Scene;
-use phantom_analyze::{AnalysisTargets, EpochTarget};
+use phantom_analyze::{AnalysisReport, AnalysisTargets, EpochTarget};
+use phantom_atm::network::Network;
 use phantom_atm::units::mbps_to_cps;
+use phantom_atm::AtmMsg;
 use phantom_core::fixed_point::single_link_macr;
+use phantom_metrics::manifest::{Manifest, TRACE_SCHEMA};
 use phantom_metrics::{ExperimentResult, ScaleRecord, ShardScalePoint};
 use phantom_scenarios::atm::run_standard;
+use phantom_scenarios::probes::{ProbeSpec, ProbeStack};
 use phantom_scenarios::registry::{register_dynamic, DynamicExperiment, ExperimentOutput};
 use phantom_scenarios::shape::register_shape;
+use phantom_sim::telemetry::{self, RunCounters, RunMarker};
+use phantom_sim::{Engine, SimTime};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -22,27 +31,134 @@ use std::sync::Arc;
 /// MACR targets from session counts without overriding `u`.
 const DEFAULT_U: f64 = 5.0;
 
+/// One run of a scene: compile, install the probes, drive the engine,
+/// collect the standard figure. Every harness that runs a scene — the
+/// sweep's registered closure ([`run_scene`]), `phantom run` and
+/// `phantom resume` on a scene file, and the daemon's workers — goes
+/// through [`RunPlan::run`], so their traces and reports agree byte for
+/// byte by construction.
+pub struct RunPlan<'a> {
+    /// The validated scene.
+    pub scene: &'a Scene,
+    /// Master seed.
+    pub seed: u64,
+    /// What to observe.
+    pub probes: ProbeSpec,
+    /// Horizon override; `None` runs to the scene's own duration.
+    pub until: Option<SimTime>,
+}
+
+/// What the drive closure of [`RunPlan::run`] is handed: the compiled
+/// engine before its first event, with everything a driver needs to
+/// slice, checkpoint or cancel the run.
+pub struct Drive<'a> {
+    /// The compiled engine.
+    pub engine: &'a mut Engine<AtmMsg>,
+    /// Handles into the compiled topology.
+    pub net: &'a Network,
+    /// The run's horizon.
+    pub until: SimTime,
+    /// The run's manifest ([`RunPlan::manifest`]).
+    pub manifest: &'a Manifest,
+    /// The run's telemetry bracket.
+    pub marker: &'a RunMarker,
+}
+
+/// Everything one scene run produced.
+pub struct RunOutcome {
+    /// The standard figure panels and metrics.
+    pub result: ExperimentResult,
+    /// Simulator events dispatched by this run.
+    pub events: u64,
+    /// Drop/retransmit/queue-peak telemetry observed during the run.
+    pub counters: RunCounters,
+    /// The live analysis report, when the probes ran a tap.
+    pub analysis: Option<AnalysisReport>,
+    /// True when an installed cancel token stopped the run early.
+    pub cancelled: bool,
+}
+
+impl<'a> RunPlan<'a> {
+    /// An unobserved run of `scene` under `seed` to its own horizon.
+    pub fn new(scene: &'a Scene, seed: u64) -> Self {
+        RunPlan {
+            scene,
+            seed,
+            probes: ProbeSpec::default(),
+            until: None,
+        }
+    }
+
+    /// The run's provenance manifest (`phantom-trace/1`): scenario and
+    /// config are both the scene id.
+    pub fn manifest(&self) -> Manifest {
+        Manifest::new(TRACE_SCHEMA, &self.scene.id, self.seed, &self.scene.id)
+    }
+
+    /// Run the plan. `drive` may advance the engine towards the horizon
+    /// in any slices it likes (heartbeats, checkpoints, cancellation);
+    /// slicing never changes the event order, and whatever it leaves
+    /// undone the standard collection runs before reading the panels.
+    pub fn run(
+        self,
+        drive: impl FnOnce(Drive<'_>) -> Result<(), String>,
+    ) -> Result<RunOutcome, String> {
+        let scene = self.scene;
+        let manifest = self.manifest();
+        let CompiledScene {
+            mut engine,
+            net,
+            until,
+            bottleneck,
+            traced,
+            tail_from_secs,
+        } = compile(scene, self.seed);
+        let until = self.until.unwrap_or(until);
+        let probes = ProbeStack::install(&manifest, &self.probes)?;
+        let marker = telemetry::begin_run();
+        let events_before = phantom_sim::thread_events_dispatched();
+        drive(Drive {
+            engine: &mut engine,
+            net: &net,
+            until,
+            manifest: &manifest,
+            marker: &marker,
+        })?;
+        let (engine, _net, result) = run_standard(
+            engine,
+            net,
+            until,
+            &scene.id,
+            &scene.describe,
+            "compiled from a phantom-scene/1 file",
+            bottleneck,
+            &traced,
+            tail_from_secs,
+        );
+        let events = phantom_sim::thread_events_dispatched() - events_before;
+        let counters = marker.finish();
+        Ok(RunOutcome {
+            result,
+            events,
+            counters,
+            analysis: probes.finish(),
+            cancelled: engine.cancelled(),
+        })
+    }
+}
+
 /// Compile and run a validated scene, producing the same figure output
 /// (standard panels + metrics) as the hard-coded runners.
 pub fn run_scene(scene: &Scene, seed: u64) -> ExperimentResult {
-    let c = compile(scene, seed);
-    let (_engine, _net, result) = run_standard(
-        c.engine,
-        c.net,
-        c.until,
-        &scene.id,
-        &scene.describe,
-        "compiled from a phantom-scene/1 file",
-        c.bottleneck,
-        &c.traced,
-        c.tail_from_secs,
-    );
-    result
+    RunPlan::new(scene, seed)
+        .run(|_| Ok(()))
+        .expect("an unobserved run does no I/O")
+        .result
 }
 
 /// Build and run `scene` once as a *scale probe*: measure resident-set
 /// growth across build + run, the engine's own per-node accounting, and
-/// run throughput. Returns the `phantom-bench/4` scale record plus the
+/// run throughput. Returns the `phantom-bench/5` scale record plus the
 /// per-arena breakdown (for human-readable reporting).
 ///
 /// RSS comes from [`phantom_sim::telemetry::rss_bytes`] (the same

@@ -5,8 +5,8 @@
 //! accepts `phantom-scene/1` documents over a hand-rolled HTTP/1.1
 //! layer on [`std::net::TcpListener`], validates them with the same
 //! compiler `phantom check` uses, queues them on a bounded FIFO with
-//! admission control, and runs them on a worker pool that reuses the
-//! engine exactly as the CLI does.
+//! admission control, and runs them on a worker pool through the same
+//! `phantom_scene::RunPlan` the CLI uses.
 //!
 //! Endpoints (see `schemas/phantom-serve-v1.md` for the wire format):
 //!
@@ -35,12 +35,10 @@
 pub mod client;
 pub mod http;
 pub mod job;
-pub mod run;
 pub mod server;
 pub mod signal;
 
 pub use job::{Job, JobState, SERVE_SCHEMA};
-pub use run::{run_job, JobOutcome};
 pub use server::{serve, Server, ServerConfig};
 
 /// Seed used when a submission does not pass `?seed=` (the same

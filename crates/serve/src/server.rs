@@ -15,11 +15,12 @@
 
 use crate::http::{self, Request};
 use crate::job::{Job, JobState, SERVE_SCHEMA};
-use crate::run::run_job;
-use phantom_analyze::analyze_trace_str;
+use phantom_analyze::{analyze_trace_str, DEFAULT_WINDOW_SECS};
 use phantom_metrics::manifest::{Manifest, METRICS_SCHEMA};
 use phantom_metrics::{Registry, PROMETHEUS_CONTENT_TYPE};
-use phantom_scene::{analysis_targets, check_error_json, parse_scene};
+use phantom_scenarios::probes::ProbeSpec;
+use phantom_scene::{analysis_targets, check_error_json, parse_scene, RunPlan};
+use phantom_sim::{CancelGuard, SimTime};
 use std::collections::VecDeque;
 use std::io::{Read, Seek, SeekFrom};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,6 +36,14 @@ const JSON_TYPE: &str = "application/json";
 const NDJSON_TYPE: &str = "application/x-ndjson";
 /// Poll cadence of the live trace/analysis streamers.
 const STREAM_POLL: Duration = Duration::from_millis(20);
+/// Heartbeat slices per job: the engine is pre-driven to the horizon in
+/// this many pieces so the job table can report live progress. The
+/// results are identical to one big `run_until`.
+const HEARTBEAT_SLICES: u64 = 20;
+/// Cap on the sim-time width of one heartbeat slice (10 ms). Without
+/// it a long-horizon job on a big scene would report no progress for
+/// minutes of wall time between beats.
+const MAX_HEARTBEAT_STEP_NS: u64 = 10_000_000;
 
 /// Configuration for one daemon instance.
 #[derive(Clone, Debug)]
@@ -623,12 +632,44 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                 job.analysis_path.clone(),
             )
         };
-        let mut beat = |events: u64, sim_secs: f64| {
-            let mut state = shared.state.lock().expect("state poisoned");
-            state.jobs[idx].events = events;
-            state.jobs[idx].sim_secs = sim_secs;
+        // The job runs the plan `phantom run` uses, so its spool equals
+        // `phantom run <scene> --seed N --trace` byte for byte. The
+        // daemon adds only the spool paths, the cancel token (checked by
+        // the engine once per calendar slice) and the heartbeat.
+        let wall_start = std::time::Instant::now();
+        let cancel_guard = CancelGuard::new(cancel);
+        let plan = RunPlan {
+            probes: ProbeSpec {
+                analysis: Some((analysis_targets(&scene), DEFAULT_WINDOW_SECS)),
+                trace: Some(trace_path),
+                ..ProbeSpec::default()
+            },
+            ..RunPlan::new(&scene, seed)
         };
-        let outcome = run_job(&scene, seed, &trace_path, &analysis_path, cancel, &mut beat);
+        let outcome = plan
+            .run(|d| {
+                let events_before = phantom_sim::thread_events_dispatched();
+                let until = d.until.0;
+                let step = (until / HEARTBEAT_SLICES).clamp(1, MAX_HEARTBEAT_STEP_NS);
+                let mut target = 0u64;
+                while target < until && !d.engine.cancelled() {
+                    target = (target + step).min(until);
+                    d.engine.run_until(SimTime(target));
+                    let mut state = shared.state.lock().expect("state poisoned");
+                    state.jobs[idx].events =
+                        phantom_sim::thread_events_dispatched() - events_before;
+                    state.jobs[idx].sim_secs = d.engine.now().as_secs_f64();
+                }
+                Ok(())
+            })
+            .and_then(|out| match &out.analysis {
+                Some(report) => std::fs::write(&analysis_path, report.to_json())
+                    .map(|()| out)
+                    .map_err(|e| format!("cannot write analysis {}: {e}", analysis_path.display())),
+                None => Ok(out),
+            });
+        drop(cancel_guard);
+        let wall_secs = wall_start.elapsed().as_secs_f64();
         let mut state = shared.state.lock().expect("state poisoned");
         state.busy_workers -= 1;
         let job = &mut state.jobs[idx];
@@ -636,7 +677,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
         match outcome {
             Ok(o) => {
                 job.events = o.events;
-                job.wall_secs = Some(o.wall_secs);
+                job.wall_secs = Some(wall_secs);
                 job.state = if o.cancelled {
                     JobState::Cancelled
                 } else {
@@ -654,7 +695,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                     .finished_runs
                     .lock()
                     .expect("metrics poisoned")
-                    .push((o.wall_secs, o.events));
+                    .push((wall_secs, o.events));
             }
             Err(e) => {
                 job.state = JobState::Failed;

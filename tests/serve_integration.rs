@@ -24,7 +24,8 @@
 
 use phantom_cli::{run_scene_opts, RunOptions};
 use phantom_repro::analyze::lint_trace_str;
-use phantom_repro::scene::{parse_scene, Json};
+use phantom_repro::scenarios::sweep::{run_sweep_with, SweepJob, SweepOptions};
+use phantom_repro::scene::{parse_scene, register_scene, Json};
 use phantom_repro::serve::{client, Server, ServerConfig};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -138,7 +139,9 @@ fn is_terminal(state: &str) -> bool {
 
 /// The headline determinism contract: traces streamed from a 2-worker
 /// server running three concurrent fig2 submissions are byte-identical
-/// to `phantom run` (`run_scene_opts` + `--trace`) on the same text.
+/// to `phantom run` (`run_scene_opts` + `--trace`) on the same text, and
+/// to `repro <id> --scenes DIR --trace-dir` (`register_scene` +
+/// `run_sweep_with`) for the same scene and seed.
 #[test]
 fn streamed_traces_match_phantom_run_bytes_under_concurrency() {
     let text = with_duration_ms(&scene_text("scenes/fig2.json"), SHORT_MS);
@@ -147,6 +150,22 @@ fn streamed_traces_match_phantom_run_bytes_under_concurrency() {
 
     let seeds = [11u64, 12, 13];
     let ids: Vec<String> = seeds.iter().map(|&s| submit_ok(&addr, &text, s)).collect();
+
+    let sweep_dir =
+        std::env::temp_dir().join(format!("phantom-serve-test-{}-sweep", std::process::id()));
+    register_scene(scene.clone());
+    let jobs: Vec<SweepJob> = seeds
+        .iter()
+        .map(|&seed| SweepJob {
+            id: scene.id.clone(),
+            seed,
+        })
+        .collect();
+    let opts = SweepOptions {
+        trace_dir: Some(sweep_dir.clone()),
+        ..SweepOptions::default()
+    };
+    run_sweep_with(&jobs, 1, &opts);
 
     for (id, &seed) in ids.iter().zip(&seeds) {
         // Blocks server-side until the job is terminal, then yields the
@@ -173,11 +192,20 @@ fn streamed_traces_match_phantom_run_bytes_under_concurrency() {
             streamed.len(),
             direct.len()
         );
+        let swept = std::fs::read(sweep_dir.join(format!("{}-{seed}.jsonl", scene.id)))
+            .expect("sweep trace written");
+        assert!(
+            swept == direct,
+            "seed {seed}: repro --scenes trace ({} bytes) != phantom run trace ({} bytes)",
+            swept.len(),
+            direct.len()
+        );
         assert!(
             lint_trace_str(&String::from_utf8(streamed).expect("utf8 trace")).is_ok(),
             "streamed trace lints"
         );
     }
+    let _ = std::fs::remove_dir_all(&sweep_dir);
 
     server.drain();
     server.wait().expect("clean shutdown");
