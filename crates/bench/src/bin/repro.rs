@@ -539,20 +539,27 @@ fn main() -> ExitCode {
                     record.drops,
                     record.queue_peak
                 );
-                let rss = match record.rss_delta_bytes {
-                    Some(b) => format!("rss +{:.1} MB", b as f64 / 1e6),
+                let mb = |b: u64| b as f64 / 1e6;
+                let counted = record.arena_bytes + record.calendar_bytes;
+                let (rss, remainder) = match record.rss_delta_bytes {
+                    Some(b) => (
+                        format!("rss +{:.1} MB", mb(b)),
+                        format!("{:.1} MB", mb(b) - mb(counted)),
+                    ),
                     None => {
                         logger::warn(
                             "rss unreadable on this platform (/proc/self/status); \
                              per-session cost falls back to arena accounting",
                         );
-                        "rss n/a".to_string()
+                        ("rss n/a".to_string(), "n/a".to_string())
                     }
                 };
                 println!(
-                    "[scale: {}, arenas {:.1} MB — {:.0} bytes/session, {:.0} sessions/GB]",
+                    "[scale: {}: arenas {:.1} MB, calendar {:.1} MB, remainder {} — {:.0} bytes/session, {:.0} sessions/GB]",
                     rss,
-                    record.arena_bytes as f64 / 1e6,
+                    mb(record.arena_bytes),
+                    mb(record.calendar_bytes),
+                    remainder,
                     record.bytes_per_session(),
                     record.sessions_per_gb()
                 );

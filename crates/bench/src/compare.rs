@@ -507,9 +507,21 @@ mod tests {
             wall_secs: wall,
             rss_delta_bytes: Some(rss),
             arena_bytes: 40_000_000,
+            calendar_bytes: 10_000_000,
             drops: 0,
             queue_peak: 100,
         }
+    }
+
+    #[test]
+    fn committed_baseline_without_calendar_bytes_parses() {
+        // `calendar_bytes` is additive: the committed record predates it
+        // and must still parse, scale probe included.
+        let base = parse_bench_json(include_str!("../../../BENCH_phantom.json"))
+            .expect("committed baseline parses");
+        let scale = base.scale.expect("committed baseline has a scale probe");
+        assert_eq!(scale.scene, "metro-100k");
+        assert!(scale.sessions_per_gb > 0.0);
     }
 
     #[test]

@@ -54,9 +54,9 @@ impl RunRecord {
 /// Collected by building and running the scene once on a quiet thread:
 /// resident-set growth over the whole build+run (`None` when `/proc`
 /// is unreadable on this platform) alongside the engine's own
-/// accounting of node state, so the two can be compared — RSS includes
-/// the event calendar, port queues and allocator slack that
-/// `arena_bytes` deliberately excludes.
+/// accounting of node state and of the event calendar, so the parts can
+/// be compared — RSS also includes node-owned heap blocks (port queues,
+/// recorded series) and allocator slack that neither count covers.
 #[derive(Clone, Debug)]
 pub struct ScaleRecord {
     /// Scene id, e.g. `"metro-100k"`.
@@ -77,6 +77,9 @@ pub struct ScaleRecord {
     /// The engine's own accounting of per-node state
     /// (`Engine::nodes_footprint_bytes`) after the run.
     pub arena_bytes: u64,
+    /// Heap bytes held by the event calendar after the run
+    /// (`Engine::calendar_bytes`).
+    pub calendar_bytes: u64,
     /// Cells/packets dropped during the probe run.
     pub drops: u64,
     /// Deepest queue observed during the probe run, in items.
@@ -121,7 +124,7 @@ impl ScaleRecord {
     /// Render as a single-line JSON object (the `scale` value).
     pub fn to_json_line(&self) -> String {
         format!(
-            "{{\"scene\": {}, \"seed\": {}, \"sessions\": {}, \"nodes\": {}, \"events\": {}, \"wall_secs\": {}, \"events_per_sec\": {}, \"rss_delta_bytes\": {}, \"arena_bytes\": {}, \"bytes_per_session\": {}, \"sessions_per_gb\": {}, \"drops\": {}, \"queue_peak\": {}}}",
+            "{{\"scene\": {}, \"seed\": {}, \"sessions\": {}, \"nodes\": {}, \"events\": {}, \"wall_secs\": {}, \"events_per_sec\": {}, \"rss_delta_bytes\": {}, \"arena_bytes\": {}, \"calendar_bytes\": {}, \"bytes_per_session\": {}, \"sessions_per_gb\": {}, \"drops\": {}, \"queue_peak\": {}}}",
             json_str(&self.scene),
             self.seed,
             self.sessions,
@@ -134,6 +137,7 @@ impl ScaleRecord {
                 None => "null".to_string(),
             },
             self.arena_bytes,
+            self.calendar_bytes,
             json_f64(self.bytes_per_session()),
             json_f64(self.sessions_per_gb()),
             self.drops,
@@ -353,6 +357,7 @@ mod tests {
             wall_secs: 4.0,
             rss_delta_bytes: Some(2_000_000_000),
             arena_bytes: 50_000_000,
+            calendar_bytes: 30_000_000,
             drops: 123,
             queue_peak: 16_384,
         }
@@ -421,6 +426,7 @@ mod tests {
         assert!(line.contains("\"events_per_sec\": 2500000"));
         assert!(line.contains("\"bytes_per_session\": 20000"));
         assert!(line.contains("\"sessions_per_gb\": 50000"));
+        assert!(line.contains("\"calendar_bytes\": 30000000"));
         assert!(line.contains("\"queue_peak\": 16384"));
 
         let mut rec = sample();

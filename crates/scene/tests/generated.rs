@@ -89,7 +89,9 @@ fn generated_scenes_are_deterministic_per_seed() {
     assert_eq!(a.nodes, b.nodes);
     assert_eq!(a.drops, b.drops);
     assert_eq!(a.queue_peak, b.queue_peak);
+    assert_eq!(a.calendar_bytes, b.calendar_bytes);
     assert!(a.events > 0, "the generated scene must actually run");
+    assert!(a.calendar_bytes > 0, "the probe must account the calendar");
     let counts_a: Vec<_> = arenas_a.iter().map(|s| (s.type_name, s.nodes)).collect();
     let counts_b: Vec<_> = arenas_b.iter().map(|s| (s.type_name, s.nodes)).collect();
     assert_eq!(counts_a, counts_b);

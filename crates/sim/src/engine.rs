@@ -551,6 +551,13 @@ impl<M: 'static> Engine<M> {
             + self.rngs.capacity() * size_of::<SmallRng>()
     }
 
+    /// Heap bytes held by the event calendar
+    /// ([`EventQueue::heap_bytes`]): chunk pool, active run, far slab and
+    /// overflow heap.
+    pub fn calendar_bytes(&self) -> usize {
+        self.queue.heap_bytes()
+    }
+
     /// Attach an observer called for every delivered event. Replaces any
     /// previously attached hook. Tracing does not change the simulation —
     /// only the wall-clock cost of running it.

@@ -3,11 +3,12 @@
 //! A hierarchical timer wheel organised for the ATM hot path, where almost
 //! every event is a cell-time or propagation-delay timer a few microseconds
 //! to a few milliseconds out. Near-future events land in one of
-//! [`WHEEL_SLOTS`] ring buckets of [`SLICE_NS`]-nanosecond slices (a plain
-//! `Vec` append — no sift, no comparisons); an occupancy bitmap makes
-//! finding the next non-empty slice a handful of word scans. Far-future
-//! events (session starts hundreds of milliseconds out, long RTT timers)
-//! wait in an overflow heap and are promoted lazily as the cursor advances.
+//! [`WHEEL_SLOTS`] ring buckets of [`SLICE_NS`]-nanosecond slices (an
+//! append to the bucket's tail chunk — no sift, no comparisons); an
+//! occupancy bitmap makes finding the next non-empty slice a handful of
+//! word scans. Far-future events (session starts hundreds of milliseconds
+//! out, long RTT timers) wait in an overflow heap and are promoted lazily
+//! as the cursor advances.
 //!
 //! Delivery order is *exactly* the `(time, seq)` total order of the
 //! classic binary-heap calendar this replaces: each slice is drained into a
@@ -16,8 +17,8 @@
 //! is byte-identical across calendars. The property test at the bottom pins
 //! the wheel against a plain binary heap kept as the `#[cfg(test)]` oracle.
 //!
-//! Near-future payloads live *inline* in the ring buckets: a push is one
-//! contiguous append, a slice drain is one contiguous move plus a small
+//! Near-future payloads live *inline* in bucket storage: a push is one
+//! contiguous append, a slice drain is a few contiguous moves plus a small
 //! sort, and nothing is chased through a side table. With tens of
 //! thousands of cells in flight on WAN topologies, the in-flight working
 //! set is streamed bucket by bucket instead of hammering a random-access
@@ -25,6 +26,20 @@
 //! spends its time. Only far-future events pay for indirection: their
 //! payloads wait in a small slab of message slots (with an intrusive free
 //! list) while 24-byte `(time, seq, slot)` keys sit in the overflow heap.
+//!
+//! # Memory
+//!
+//! Bucket storage is a chain of fixed-capacity chunks of `CHUNK`
+//! entries, all drawn from one shared pool with an intrusive free list.
+//! Draining a slice returns its chunks to the pool, so the next slot to
+//! fill reuses them. The invariant: the chunks in use never exceed
+//! `wheel pending / CHUNK + occupied slots`, and the pool holds only the
+//! peak of that sum — calendar memory follows the events pending *now*.
+//! A growable buffer per slot would instead keep every slot's fullest-ever
+//! slice: a dense window of traffic sweeping the ring once leaves each of
+//! the 4,096 slots holding a slice-sized buffer, which on metro-100k comes
+//! to 2.4 GB for 15 MB of pending events. [`EventQueue::heap_bytes`] reports
+//! the total; the `calendar_heap_tracks_pending_events` test pins the bound.
 
 use crate::engine::NodeId;
 use crate::profile::CalendarStats;
@@ -134,7 +149,7 @@ enum Slot<M> {
     Free(u32),
 }
 
-/// Free-list terminator.
+/// Terminator of the free lists and bucket chains.
 const NIL: u32 = u32::MAX;
 
 /// One pending near-future event, held inline: the ordering pair, the
@@ -148,13 +163,27 @@ struct Entry<M> {
     msg: M,
 }
 
+/// Entries per bucket chunk. Large enough that a busy slice is a few
+/// contiguous runs, small enough that a one-event slot holds little.
+const CHUNK: usize = 64;
+
+/// A fixed-capacity run of one bucket's entries. `entries` is allocated
+/// once with capacity [`CHUNK`] and never grows past it; `next` links the
+/// chunk to the rest of its bucket's chain, or to the rest of the free
+/// list while it is unused (and then `entries` is empty).
+struct Chunk<M> {
+    entries: Vec<Entry<M>>,
+    next: u32,
+}
+
 /// Priority queue of pending events, earliest first.
 ///
 /// Invariant: every entry with slice `<= cursor` lives in `active`, sorted
 /// ascending by `(time, seq)`; entries with
-/// `cursor < slice < cursor + WHEEL_SLOTS` live in `wheel[slice % WHEEL_SLOTS]`
-/// (with the matching `occupied` bit set); everything further out lives in
-/// `overflow` + `far_slots`. Because a slice's times are strictly below the
+/// `cursor < slice < cursor + WHEEL_SLOTS` live in the chunk chain of bucket
+/// `slice % WHEEL_SLOTS` (with the matching `occupied` bit set and a
+/// non-`NIL` head); everything further out lives in `overflow` +
+/// `far_slots`. Because a slice's times are strictly below the
 /// next slice's, the front of `active` — when non-empty — is the global
 /// minimum.
 pub struct EventQueue<M> {
@@ -164,9 +193,16 @@ pub struct EventQueue<M> {
     /// insert shifts only a handful of elements, and the common same-slice
     /// send (later than everything active) is a plain `push_back`.
     active: VecDeque<Entry<M>>,
-    /// Ring buckets for the near-future window, unsorted within a bucket,
-    /// payloads inline.
-    wheel: Vec<Vec<Entry<M>>>,
+    /// Chunk pool backing every ring bucket: bucket chains and the free
+    /// list both link through [`Chunk::next`].
+    chunks: Vec<Chunk<M>>,
+    /// First chunk of each ring bucket's chain (`NIL`: empty bucket).
+    /// Entries are unsorted within a bucket, payloads inline.
+    heads: Vec<u32>,
+    /// Last chunk of each ring bucket's chain, where pushes append.
+    tails: Vec<u32>,
+    /// Head of the chunk free list.
+    free_chunk: u32,
     /// One bit per wheel slot: does the bucket hold any entries?
     occupied: [u64; BITMAP_WORDS],
     /// Keys of far-future events, beyond the wheel horizon.
@@ -197,7 +233,10 @@ impl<M> EventQueue<M> {
     pub fn new() -> Self {
         EventQueue {
             active: VecDeque::new(),
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            chunks: Vec::new(),
+            heads: vec![NIL; WHEEL_SLOTS],
+            tails: vec![NIL; WHEEL_SLOTS],
+            free_chunk: NIL,
             occupied: [0; BITMAP_WORDS],
             overflow: BinaryHeap::new(),
             far_slots: Vec::new(),
@@ -272,18 +311,87 @@ impl<M> EventQueue<M> {
                 );
             }
         } else if slice - self.cursor < WHEEL_SLOTS as u64 {
-            let idx = (slice & SLOT_MASK) as usize;
-            self.wheel[idx].push(Entry {
-                time,
-                seq,
-                dst,
-                msg,
-            });
-            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
+            self.bucket_push(
+                (slice & SLOT_MASK) as usize,
+                Entry {
+                    time,
+                    seq,
+                    dst,
+                    msg,
+                },
+            );
         } else {
             let slot = self.far_alloc(dst, msg);
             self.overflow.push(HeapKey { time, seq, slot });
         }
+    }
+
+    /// Append `entry` to ring bucket `idx`: into the tail chunk while it
+    /// has room, else into a chunk taken from the free list.
+    #[inline]
+    fn bucket_push(&mut self, idx: usize, entry: Entry<M>) {
+        let tail = self.tails[idx];
+        if tail != NIL {
+            let chunk = &mut self.chunks[tail as usize];
+            if chunk.entries.len() < CHUNK {
+                chunk.entries.push(entry);
+                return;
+            }
+        }
+        let c = self.chunk_alloc();
+        self.chunks[c as usize].entries.push(entry);
+        if tail == NIL {
+            self.heads[idx] = c;
+            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
+        } else {
+            self.chunks[tail as usize].next = c;
+        }
+        self.tails[idx] = c;
+    }
+
+    /// An empty chunk, unlinked: the free-list head, or a new one.
+    fn chunk_alloc(&mut self) -> u32 {
+        if self.free_chunk != NIL {
+            let c = self.free_chunk;
+            let chunk = &mut self.chunks[c as usize];
+            self.free_chunk = std::mem::replace(&mut chunk.next, NIL);
+            c
+        } else {
+            assert!(
+                self.chunks.len() < NIL as usize,
+                "event queue chunk index overflow"
+            );
+            self.chunks.push(Chunk {
+                entries: Vec::with_capacity(CHUNK),
+                next: NIL,
+            });
+            (self.chunks.len() - 1) as u32
+        }
+    }
+
+    /// The chunks of ring bucket `idx`, head to tail.
+    fn bucket(&self, idx: usize) -> impl Iterator<Item = &Chunk<M>> {
+        let mut c = self.heads[idx];
+        std::iter::from_fn(move || {
+            if c == NIL {
+                return None;
+            }
+            let chunk = &self.chunks[c as usize];
+            c = chunk.next;
+            Some(chunk)
+        })
+    }
+
+    /// Heap bytes held by the calendar: the chunk pool, the bucket chain
+    /// ends, the active run, the far slab and the overflow heap, by
+    /// capacity (what the allocator handed out, not what is in use).
+    pub fn heap_bytes(&self) -> usize {
+        self.chunks.capacity() * size_of::<Chunk<M>>()
+            + self.chunks.len() * CHUNK * size_of::<Entry<M>>()
+            + (self.heads.capacity() + self.tails.capacity()) * size_of::<u32>()
+            + self.active.capacity() * size_of::<Entry<M>>()
+            + self.far_slots.capacity() * size_of::<Slot<M>>()
+            + self.overflow.capacity() * size_of::<HeapKey>()
     }
 
     /// Park `(dst, msg)` in the far slab, returning its slot index.
@@ -357,18 +465,25 @@ impl<M> EventQueue<M> {
             if slice == self.cursor {
                 self.active.push_back(entry);
             } else {
-                let idx = (slice & SLOT_MASK) as usize;
-                self.wheel[idx].push(entry);
-                self.occupied[idx >> 6] |= 1u64 << (idx & 63);
+                self.bucket_push((slice & SLOT_MASK) as usize, entry);
             }
         }
         let t2 = prof_on.then(Instant::now);
-        // Drain the cursor's bucket and restore exact (time, seq) order
-        // with one small sort — the only per-slice ordering work.
+        // Drain the cursor's bucket, returning its chunks to the free
+        // list, and restore exact (time, seq) order with one small sort —
+        // the only per-slice ordering work.
         let idx = (self.cursor & SLOT_MASK) as usize;
-        if self.occupied[idx >> 6] & (1u64 << (idx & 63)) != 0 {
+        let mut c = std::mem::replace(&mut self.heads[idx], NIL);
+        if c != NIL {
+            self.tails[idx] = NIL;
             self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-            self.active.extend(self.wheel[idx].drain(..));
+            while c != NIL {
+                let chunk = &mut self.chunks[c as usize];
+                self.active.extend(chunk.entries.drain(..));
+                let next = std::mem::replace(&mut chunk.next, self.free_chunk);
+                self.free_chunk = c;
+                c = next;
+            }
         }
         self.active
             .make_contiguous()
@@ -473,8 +588,11 @@ impl<M> EventQueue<M> {
             return Some(e.time);
         }
         if let Some(slice) = self.next_occupied_slice() {
-            let bucket = &self.wheel[(slice & SLOT_MASK) as usize];
-            let min = bucket.iter().map(|e| e.time).min();
+            let min = self
+                .bucket((slice & SLOT_MASK) as usize)
+                .flat_map(|c| &c.entries)
+                .map(|e| e.time)
+                .min();
             debug_assert!(min.is_some(), "occupied bit set on an empty bucket");
             return min;
         }
@@ -515,8 +633,8 @@ impl<M> EventQueue<M> {
         for e in &self.active {
             f(e.time, e.seq, e.dst, &e.msg);
         }
-        for bucket in &self.wheel {
-            for e in bucket {
+        for idx in 0..WHEEL_SLOTS {
+            for e in self.bucket(idx).flat_map(|c| &c.entries) {
                 f(e.time, e.seq, e.dst, &e.msg);
             }
         }
@@ -552,14 +670,15 @@ impl<M> EventQueue<M> {
                 },
             );
         } else if slice - self.cursor < WHEEL_SLOTS as u64 {
-            let idx = (slice & SLOT_MASK) as usize;
-            self.wheel[idx].push(Entry {
-                time,
-                seq,
-                dst,
-                msg,
-            });
-            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
+            self.bucket_push(
+                (slice & SLOT_MASK) as usize,
+                Entry {
+                    time,
+                    seq,
+                    dst,
+                    msg,
+                },
+            );
         } else {
             let slot = self.far_alloc(dst, msg);
             self.overflow.push(HeapKey { time, seq, slot });
@@ -787,6 +906,42 @@ mod tests {
         assert_eq!(drain(&mut restored), drain(&mut q));
     }
 
+    #[test]
+    fn calendar_heap_tracks_pending_events() {
+        // A dense window of traffic — 2,048 pending events, 512 per slice,
+        // each re-sent four slices ahead as it is delivered — sweeps the
+        // ring three times. Calendar memory must follow that window: a
+        // small multiple of the pending bytes plus one chunk per slot it
+        // occupies, never one slice-sized buffer per slot it has visited
+        // (4,096 slots × 512 entries).
+        const PER_SLICE: u64 = 512;
+        const AHEAD: u64 = 4;
+        let gap = SLICE_NS / PER_SLICE;
+        let entry = size_of::<Entry<u64>>();
+        let mut q = EventQueue::new();
+        for i in 0..PER_SLICE * AHEAD {
+            q.push(SimTime(SLICE_NS + i * gap), NodeId(0), i);
+        }
+        let pending = q.len();
+        let bound = 4 * pending * entry + (AHEAD as usize + 1) * CHUNK * entry;
+        let mut peak = 0;
+        let last_slice = 3 * WHEEL_SLOTS as u64;
+        let mut last = SimTime::ZERO;
+        while let Some(e) = q.pop() {
+            assert!(e.time >= last, "delivered out of order");
+            last = e.time;
+            if e.time.0 >> SLICE_SHIFT <= last_slice {
+                q.push(SimTime(e.time.0 + AHEAD * SLICE_NS), e.dst, e.msg);
+            }
+            assert!(q.len() <= pending);
+            peak = peak.max(q.heap_bytes());
+        }
+        assert!(
+            peak <= bound,
+            "calendar held {peak} bytes for {pending} pending events (bound {bound})"
+        );
+    }
+
     /// The binary-heap calendar the wheel replaced, kept as the ordering
     /// oracle for the property test below.
     struct OracleQueue<M> {
@@ -865,6 +1020,15 @@ mod tests {
             Push { offset: u64 },
             /// Push a burst of `n` events all at the same timestamp.
             Burst { offset: u64, n: u8 },
+            /// Push `n > CHUNK` events into one slice — a multi-chunk
+            /// bucket — at `stride`-ns steps in *descending* time, so the
+            /// earliest lands in the tail chunk (`stride` 0: one
+            /// timestamp, FIFO across chunk boundaries).
+            ChunkBurst { offset: u64, n: u16, stride: u64 },
+            /// Check the pending multiset against the oracle, then rebuild
+            /// the wheel from it through `restore_push` (the checkpoint
+            /// and shard-split path).
+            Restore,
             /// Pop one event.
             Pop,
             /// Pop with a deadline `deadline_off` past the last popped time.
@@ -878,9 +1042,20 @@ mod tests {
                 // the horizon is ~33.6 ms = 33_554_432 ns).
                 (0u64..200_000_000u64).prop_map(|offset| Op::Push { offset }),
                 ((0u64..50_000u64), (2u8..20u8)).prop_map(|(offset, n)| Op::Burst { offset, n }),
+                chunk_burst(0u64..2_000_000u64),
                 Just(Op::Pop),
                 (0u64..100_000u64).prop_map(|deadline_off| Op::PopBefore { deadline_off }),
+                Just(Op::Restore),
             ]
+        }
+
+        fn chunk_burst(offset: impl Strategy<Value = u64>) -> impl Strategy<Value = Op> {
+            const MORE: u16 = CHUNK as u16 + 1;
+            (offset, MORE..3 * MORE, 0u64..3).prop_map(|(offset, n, stride)| Op::ChunkBurst {
+                offset,
+                n,
+                stride,
+            })
         }
 
         /// The wheel/overflow boundary in nanoseconds: an event pushed at
@@ -907,12 +1082,51 @@ mod tests {
             prop_oneof![
                 boundary_offset().prop_map(|offset| Op::Push { offset }),
                 (boundary_offset(), 2u8..8u8).prop_map(|(offset, n)| Op::Burst { offset, n }),
+                chunk_burst(boundary_offset()),
                 Just(Op::Pop),
+                Just(Op::Restore),
                 // Near deadlines advance the cursor up to (and just past)
                 // earlier boundary pushes, forcing overflow promotion.
                 (0u64..100_000u64).prop_map(|deadline_off| Op::PopBefore { deadline_off }),
                 boundary_offset().prop_map(|deadline_off| Op::PopBefore { deadline_off }),
             ]
+        }
+
+        /// Every pending `(time, seq, payload)` of `q`, via
+        /// `for_each_pending`, in `(time, seq)` order.
+        fn pending_of(q: &EventQueue<u32>) -> Vec<(SimTime, u64, u32)> {
+            let mut out = Vec::new();
+            q.for_each_pending(|t, s, _, m| out.push((t, s, *m)));
+            out.sort_unstable();
+            out
+        }
+
+        /// The oracle's pending set, in the same form as [`pending_of`].
+        fn oracle_pending(o: &OracleQueue<u32>) -> Vec<(SimTime, u64, u32)> {
+            let mut out: Vec<_> = o
+                .heap
+                .iter()
+                .map(|k| match &o.slots[k.slot as usize] {
+                    Slot::Full(_, m) => (k.time, k.seq, *m),
+                    Slot::Free(..) => unreachable!("oracle key points at an empty slot"),
+                })
+                .collect();
+            out.sort_unstable();
+            out
+        }
+
+        /// A calendar parked at `base`, as a long-running shard's is, with
+        /// `pending` re-inserted through `restore_push` in reverse
+        /// delivery order.
+        fn restored(pending: &[(SimTime, u64, u32)], base: u64, next_seq: u64) -> EventQueue<u32> {
+            let mut q = EventQueue::new();
+            q.push(SimTime(base), NodeId(0), 0);
+            q.pop();
+            for &(t, s, m) in pending.iter().rev() {
+                q.restore_push(t, s, NodeId(0), m);
+            }
+            q.set_next_seq(next_seq);
+            q
         }
 
         /// Replay `ops` against both queues, checking every pop, peek and
@@ -937,6 +1151,19 @@ mod tests {
                             oracle.push(t, NodeId(0), payload);
                             payload += 1;
                         }
+                    }
+                    Op::ChunkBurst { offset, n, stride } => {
+                        for i in 0..u64::from(n) {
+                            let t = SimTime(base + offset + (u64::from(n) - 1 - i) * stride);
+                            wheel.push(t, NodeId(0), payload);
+                            oracle.push(t, NodeId(0), payload);
+                            payload += 1;
+                        }
+                    }
+                    Op::Restore => {
+                        let pending = pending_of(&wheel);
+                        prop_assert_eq!(&pending, &oracle_pending(&oracle));
+                        wheel = restored(&pending, base, wheel.next_seq());
                     }
                     Op::Pop => {
                         let a = wheel.pop();
@@ -991,7 +1218,9 @@ mod tests {
             /// The wheel delivers the exact sequence the binary heap
             /// delivers: same times, same seqs, same payloads, same
             /// `None`s — under arbitrary interleavings of pushes (near,
-            /// far and same-timestamp bursts) and both pop flavours.
+            /// far, same-timestamp bursts and bursts spanning several
+            /// bucket chunks), both pop flavours, and rebuilds through
+            /// `restore_push`.
             #[test]
             fn wheel_matches_heap_oracle(
                 ops in proptest::collection::vec(op_strategy(), 1..120)
