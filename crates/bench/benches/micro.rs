@@ -1,8 +1,8 @@
 //! Micro-benches of the hot paths: per-interval and per-RM-cell cost of
 //! every rate allocator, per-packet decision cost of every queue
 //! discipline (the paper's Fig. 18 pseudo-code among them — bench target
-//! `fig_seldiscard_cost` of DESIGN.md), and the raw event throughput of
-//! the simulation kernel.
+//! `fig_seldiscard_cost` of DESIGN.md), the raw event throughput of
+//! the simulation kernel, and the trace writer's cost per line.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use phantom_atm::allocator::{PortMeasurement, RateAllocator};
@@ -10,11 +10,13 @@ use phantom_atm::cell::{RmCell, VcId};
 use phantom_baselines::{Aprc, Capc, Eprca, Erica};
 use phantom_core::{PhantomAllocator, PhantomNi};
 use phantom_sim::event::EventQueue;
-use phantom_sim::{Ctx, Engine, Node, SimDuration, SimTime};
+use phantom_sim::probe::{event_to_json, JsonlProbe, Probe, ProbeEvent};
+use phantom_sim::{Ctx, Engine, Node, NodeId, SimDuration, SimTime};
 use phantom_tcp::packet::{FlowId, Packet};
 use phantom_tcp::qdisc::{DropTail, QueueDiscipline, Red, SelectiveDiscard, SelectiveQuench};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 fn meas() -> PortMeasurement {
     PortMeasurement {
@@ -238,11 +240,84 @@ fn bench_wheel(c: &mut Criterion) {
     group.finish();
 }
 
+/// 2,000 trace events in the proportions of fig2's trace: per 1,000
+/// lines, 991 enqueue/dequeue, 7.5 RM turnarounds and 1.5 MACR updates,
+/// with fig2-like times, nodes and values.
+fn fig2_like_mix() -> Vec<(SimTime, NodeId, ProbeEvent)> {
+    let mut mix = Vec::with_capacity(2_000);
+    let mut qlen = 20u32;
+    for i in 0..2_000u64 {
+        let t = SimTime(159_798_158 + i * 797);
+        let node = NodeId((i % 3) as usize);
+        let ev = if i % 667 == 333 {
+            ProbeEvent::MacrUpdate {
+                port: 0,
+                macr: 176_886.792_452_830_2,
+                delta: -293_691.132_075_471_7,
+                dev: 129_803.679_245_283_01,
+                gain: 0.014_249_866_666_666_666,
+            }
+        } else if i % 133 == 7 {
+            ProbeEvent::RmTurnaround {
+                vc: (i % 2) as u32,
+                er: 353_773.584_905_660_36,
+                ci: false,
+            }
+        } else if i % 2 == 0 {
+            qlen += 1;
+            ProbeEvent::Enqueue { port: 0, qlen }
+        } else {
+            qlen -= 1;
+            ProbeEvent::Dequeue { port: 1, qlen }
+        };
+        mix.push((t, node, ev));
+    }
+    mix
+}
+
+/// The trace-writer layer: [`fig2_like_mix`] through a `JsonlProbe`
+/// into `io::sink()`. One iteration encodes the 2,000-line mix; the
+/// measurement pass also prints ns/line and bytes/s.
+fn bench_trace(c: &mut Criterion) {
+    let mix = fig2_like_mix();
+    let mix_bytes: usize = mix
+        .iter()
+        .map(|(t, node, ev)| event_to_json(*t, *node, ev).len() + 1)
+        .sum();
+    let mut group = c.benchmark_group("trace");
+    let mut pass = 0;
+    group.bench_function("jsonl_encode", |b| {
+        pass += 1;
+        let mut probe = JsonlProbe::new(std::io::sink());
+        let start = Instant::now();
+        b.iter(|| {
+            for (t, node, ev) in &mix {
+                probe.on_event(*t, *node, criterion::black_box(ev));
+            }
+        });
+        let secs = start.elapsed().as_secs_f64();
+        let lines = probe.written() as f64;
+        // The first pass is the warm-up.
+        if pass == 2 {
+            let bytes = lines / mix.len() as f64 * mix_bytes as f64;
+            println!(
+                "bench: {:50} {:.1} ns/line, {:.0} MB/s ({:.1} bytes/line)",
+                "trace/jsonl_encode",
+                secs * 1e9 / lines,
+                bytes / secs / 1e6,
+                mix_bytes as f64 / mix.len() as f64
+            );
+        }
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_allocators,
     bench_qdiscs,
     bench_engine,
-    bench_wheel
+    bench_wheel,
+    bench_trace
 );
 criterion_main!(benches);

@@ -9,7 +9,7 @@
 //! module use the same reader/writer helpers, so the wire format is
 //! exercised end-to-end by every integration test.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 
 /// Largest accepted request head (request line + headers).
@@ -141,50 +141,62 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Write a complete response with a `Content-Length` body and close
-/// semantics.
+/// semantics, head and body in one write.
 pub fn respond(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        stream,
+    let mut out = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
         body.len()
-    )?;
-    stream.write_all(body)?;
-    stream.flush()
+    )
+    .into_bytes();
+    out.extend_from_slice(body);
+    stream.write_all(&out)
 }
 
 /// Start a chunked response; follow with [`write_chunk`] calls and one
 /// [`end_chunks`].
 pub fn start_chunked(stream: &mut TcpStream, status: u16, content_type: &str) -> io::Result<()> {
-    write!(
-        stream,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
         reason(status)
-    )?;
-    stream.flush()
+    );
+    stream.write_all(head.as_bytes())
 }
 
 /// Write one non-empty chunk (an empty chunk would terminate the
-/// stream, so zero-length writes are skipped).
+/// stream, so zero-length writes are skipped). The size line, `data`
+/// and the closing CRLF go out in one vectored write (more only if the
+/// socket takes part of it).
 pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(stream, "{:x}\r\n", data.len())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")?;
-    stream.flush()
+    let size = format!("{:x}\r\n", data.len());
+    let mut parts = [
+        IoSlice::new(size.as_bytes()),
+        IoSlice::new(data),
+        IoSlice::new(b"\r\n"),
+    ];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match stream.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Terminate a chunked response.
 pub fn end_chunks(stream: &mut TcpStream) -> io::Result<()> {
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+    stream.write_all(b"0\r\n\r\n")
 }
 
 /// One parsed response, as read by the client side.

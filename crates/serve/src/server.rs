@@ -22,7 +22,7 @@ use phantom_scenarios::probes::ProbeSpec;
 use phantom_scene::{analysis_targets, check_error_json, parse_scene, RunPlan};
 use phantom_sim::{CancelGuard, SimTime};
 use std::collections::VecDeque;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -229,6 +229,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
             return;
         }
         let Ok(stream) = conn else { continue };
+        // Every response and chunk is one whole write; Nagle would hold
+        // its last partial segment until the peer ACKs the rest.
+        let _ = stream.set_nodelay(true);
         let shared = Arc::clone(shared);
         // One thread per connection; trace streams hold theirs open
         // for the lifetime of the job they follow.
@@ -431,19 +434,18 @@ fn stream_trace(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str) -> std::
         std::thread::sleep(STREAM_POLL);
     };
     http::start_chunked(stream, 200, NDJSON_TYPE)?;
+    // Reads are sequential: a read at EOF returns 0 and leaves the
+    // offset in place, so the next poll resumes where this one stopped.
     let mut file = std::fs::File::open(&path)?;
-    let mut pos = 0u64;
     let mut buf = vec![0u8; 64 * 1024];
     loop {
         let (state, _) = job_state(shared, i);
         let terminal = state.is_terminal();
         loop {
-            file.seek(SeekFrom::Start(pos))?;
             let n = file.read(&mut buf)?;
             if n == 0 {
                 break;
             }
-            pos += n as u64;
             http::write_chunk(stream, &buf[..n])?;
         }
         if terminal {

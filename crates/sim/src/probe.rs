@@ -312,59 +312,145 @@ fn deliver(t: SimTime, node: NodeId, ev: ProbeEvent) {
     });
 }
 
-/// Format an `f64` as a JSON value (`null` for NaN/infinite).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Render one event as a single-line JSON object (no trailing newline).
 ///
 /// This is the record format of the `phantom-trace/1` schema: every line
-/// has `t` (seconds), `node`, `kind`, plus kind-specific fields.
+/// has `t` (seconds), `node`, `kind`, plus kind-specific fields. A thin
+/// wrapper over [`write_event_json`], for callers that want a `String`.
 pub fn event_to_json(t: SimTime, node: NodeId, ev: &ProbeEvent) -> String {
-    let head = format!("{{\"t\":{},\"node\":{}", json_f64(t.as_secs_f64()), node.0);
-    let kind = ev.kind().name();
+    let mut out = Vec::with_capacity(128);
+    write_event_json(&mut out, t, node, ev);
+    String::from_utf8(out).expect("trace lines are ASCII")
+}
+
+/// Append one event's `phantom-trace/1` JSON object (no trailing
+/// newline) to `out`.
+///
+/// The number formats (see `schemas/phantom-trace-v1.md`): `t` is the
+/// shortest decimal of `ns / 1e9`, integers are plain, other floats use
+/// Rust's shortest round-trip `Display` and non-finite floats are `null`.
+/// None of them uses an exponent.
+pub fn write_event_json(out: &mut Vec<u8>, t: SimTime, node: NodeId, ev: &ProbeEvent) {
+    out.extend_from_slice(b"{\"t\":");
+    push_secs(out, t);
+    push_uint(out, b",\"node\":", node.0 as u64);
+    out.extend_from_slice(b",\"kind\":\"");
+    out.extend_from_slice(ev.kind().name().as_bytes());
+    out.push(b'"');
     match *ev {
         ProbeEvent::Enqueue { port, qlen } | ProbeEvent::Dequeue { port, qlen } => {
-            format!("{head},\"kind\":\"{kind}\",\"port\":{port},\"qlen\":{qlen}}}")
+            push_uint(out, b",\"port\":", port.into());
+            push_uint(out, b",\"qlen\":", qlen.into());
         }
-        ProbeEvent::Drop { port, qlen, reason } => format!(
-            "{head},\"kind\":\"{kind}\",\"port\":{port},\"qlen\":{qlen},\"reason\":\"{}\"}}",
-            reason.name()
-        ),
+        ProbeEvent::Drop { port, qlen, reason } => {
+            push_uint(out, b",\"port\":", port.into());
+            push_uint(out, b",\"qlen\":", qlen.into());
+            out.extend_from_slice(b",\"reason\":\"");
+            out.extend_from_slice(reason.name().as_bytes());
+            out.push(b'"');
+        }
         ProbeEvent::MacrUpdate {
             port,
             macr,
             delta,
             dev,
             gain,
-        } => format!(
-            "{head},\"kind\":\"{kind}\",\"port\":{port},\"macr\":{},\"delta\":{},\"dev\":{},\"gain\":{}}}",
-            json_f64(macr),
-            json_f64(delta),
-            json_f64(dev),
-            json_f64(gain)
-        ),
-        ProbeEvent::RmTurnaround { vc, er, ci } => format!(
-            "{head},\"kind\":\"{kind}\",\"vc\":{vc},\"er\":{},\"ci\":{ci}}}",
-            json_f64(er)
-        ),
+        } => {
+            push_uint(out, b",\"port\":", port.into());
+            push_f64(out, b",\"macr\":", macr);
+            push_f64(out, b",\"delta\":", delta);
+            push_f64(out, b",\"dev\":", dev);
+            push_f64(out, b",\"gain\":", gain);
+        }
+        ProbeEvent::RmTurnaround { vc, er, ci } => {
+            push_uint(out, b",\"vc\":", vc.into());
+            push_f64(out, b",\"er\":", er);
+            out.extend_from_slice(if ci {
+                b",\"ci\":true"
+            } else {
+                b",\"ci\":false"
+            });
+        }
         ProbeEvent::CwndChange {
             flow,
             cwnd,
             ssthresh,
-        } => format!(
-            "{head},\"kind\":\"{kind}\",\"flow\":{flow},\"cwnd\":{},\"ssthresh\":{}}}",
-            json_f64(cwnd),
-            json_f64(ssthresh)
-        ),
-        ProbeEvent::SessionStart { session } | ProbeEvent::SessionStop { session } => {
-            format!("{head},\"kind\":\"{kind}\",\"session\":{session}}}")
+        } => {
+            push_uint(out, b",\"flow\":", flow.into());
+            push_f64(out, b",\"cwnd\":", cwnd);
+            push_f64(out, b",\"ssthresh\":", ssthresh);
         }
+        ProbeEvent::SessionStart { session } | ProbeEvent::SessionStop { session } => {
+            push_uint(out, b",\"session\":", session.into());
+        }
+    }
+    out.push(b'}');
+}
+
+/// Times below this many nanoseconds (about 52 days) print exactly as
+/// `Display` of [`SimTime::as_secs_f64`]. Below 2^52 the `f64` nearest
+/// `ns / 1e9` is under 2^23 s, so its ulp is at most 2^-30 s, finer than
+/// the 1e-9 s step of `ns / 1e9`'s decimal. Every other decimal in the
+/// value's rounding interval is then off that grid, so it has a digit
+/// below 1e-9 and is longer; the shortest round-trip decimal `Display`
+/// picks is the exact one.
+const EXACT_SECS_BELOW_NS: u64 = 1 << 52;
+
+/// `t` in seconds: the exact decimal of `ns / 1e9`, trailing zeros (and
+/// a bare point) trimmed.
+fn push_secs(out: &mut Vec<u8>, t: SimTime) {
+    let ns = t.as_nanos();
+    if ns >= EXACT_SECS_BELOW_NS {
+        let _ = write!(out, "{}", t.as_secs_f64());
+        return;
+    }
+    push_digits(out, ns / 1_000_000_000);
+    let mut frac = ns % 1_000_000_000;
+    if frac == 0 {
+        return;
+    }
+    let mut len = 9;
+    while frac.is_multiple_of(10) {
+        frac /= 10;
+        len -= 1;
+    }
+    let mut buf = [b'0'; 9];
+    for slot in buf[..len].iter_mut().rev() {
+        *slot = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    out.push(b'.');
+    out.extend_from_slice(&buf[..len]);
+}
+
+/// `key` followed by `v` in plain decimal.
+fn push_uint(out: &mut Vec<u8>, key: &[u8], v: u64) {
+    out.extend_from_slice(key);
+    push_digits(out, v);
+}
+
+fn push_digits(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// `key` followed by `v` as a JSON value (`null` for NaN/infinite).
+fn push_f64(out: &mut Vec<u8>, key: &[u8], v: f64) {
+    out.extend_from_slice(key);
+    if v.is_finite() {
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{v}");
+    } else {
+        out.extend_from_slice(b"null");
     }
 }
 
@@ -374,6 +460,8 @@ pub fn event_to_json(t: SimTime, node: NodeId, ev: &ProbeEvent) -> String {
 /// file self-describes its provenance.
 pub struct JsonlProbe<W: Write> {
     w: io::BufWriter<W>,
+    /// The line being encoded, reused so an event costs no allocation.
+    line: Vec<u8>,
     /// Events written (manifest line excluded).
     written: u64,
 }
@@ -383,6 +471,7 @@ impl<W: Write> JsonlProbe<W> {
     pub fn new(w: W) -> Self {
         JsonlProbe {
             w: io::BufWriter::new(w),
+            line: Vec::with_capacity(128),
             written: 0,
         }
     }
@@ -407,7 +496,10 @@ impl<W: Write> Probe for JsonlProbe<W> {
         // I/O errors deliberately do not panic mid-run (that would make
         // a full disk perturb the simulation's observable behavior only
         // via timing); the line is lost and `written` not incremented.
-        if writeln!(self.w, "{}", event_to_json(t, node, ev)).is_ok() {
+        self.line.clear();
+        write_event_json(&mut self.line, t, node, ev);
+        self.line.push(b'\n');
+        if self.w.write_all(&self.line).is_ok() {
             self.written += 1;
         }
     }
@@ -591,9 +683,278 @@ impl Drop for ProbeGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::rc::Rc;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    /// The `format!`-based encoder that [`write_event_json`] replaced,
+    /// kept as the byte-for-byte oracle.
+    fn oracle_event_to_json(t: SimTime, node: NodeId, ev: &ProbeEvent) -> String {
+        fn json_f64(v: f64) -> String {
+            if v.is_finite() {
+                format!("{v}")
+            } else {
+                "null".to_string()
+            }
+        }
+        let head = format!("{{\"t\":{},\"node\":{}", json_f64(t.as_secs_f64()), node.0);
+        let kind = ev.kind().name();
+        match *ev {
+            ProbeEvent::Enqueue { port, qlen } | ProbeEvent::Dequeue { port, qlen } => {
+                format!("{head},\"kind\":\"{kind}\",\"port\":{port},\"qlen\":{qlen}}}")
+            }
+            ProbeEvent::Drop { port, qlen, reason } => format!(
+                "{head},\"kind\":\"{kind}\",\"port\":{port},\"qlen\":{qlen},\"reason\":\"{}\"}}",
+                reason.name()
+            ),
+            ProbeEvent::MacrUpdate {
+                port,
+                macr,
+                delta,
+                dev,
+                gain,
+            } => format!(
+                "{head},\"kind\":\"{kind}\",\"port\":{port},\"macr\":{},\"delta\":{},\"dev\":{},\"gain\":{}}}",
+                json_f64(macr),
+                json_f64(delta),
+                json_f64(dev),
+                json_f64(gain)
+            ),
+            ProbeEvent::RmTurnaround { vc, er, ci } => format!(
+                "{head},\"kind\":\"{kind}\",\"vc\":{vc},\"er\":{},\"ci\":{ci}}}",
+                json_f64(er)
+            ),
+            ProbeEvent::CwndChange {
+                flow,
+                cwnd,
+                ssthresh,
+            } => format!(
+                "{head},\"kind\":\"{kind}\",\"flow\":{flow},\"cwnd\":{},\"ssthresh\":{}}}",
+                json_f64(cwnd),
+                json_f64(ssthresh)
+            ),
+            ProbeEvent::SessionStart { session } | ProbeEvent::SessionStop { session } => {
+                format!("{head},\"kind\":\"{kind}\",\"session\":{session}}}")
+            }
+        }
+    }
+
+    /// Encode through the new path, appending to a non-empty buffer so
+    /// the encoder is also checked to only append.
+    fn encode(t: SimTime, node: NodeId, ev: &ProbeEvent) -> String {
+        let mut out = b"prefix".to_vec();
+        write_event_json(&mut out, t, node, ev);
+        assert!(out.starts_with(b"prefix"));
+        String::from_utf8(out.split_off(6)).unwrap()
+    }
+
+    /// Floats the encoder must treat exactly like `Display`/`null`.
+    const SPECIAL_F64: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -2.5e-320,
+        1e300,
+        -1e300,
+        f64::MAX,
+        0.1,
+    ];
+
+    /// One event per kind (and per drop reason), built from the scalars
+    /// `u` (ids), `f` (floats) and `ci`.
+    fn every_kind(u: u32, f: [f64; 4], ci: bool) -> Vec<ProbeEvent> {
+        let mut evs = vec![
+            ProbeEvent::Enqueue { port: u, qlen: !u },
+            ProbeEvent::Dequeue { port: !u, qlen: u },
+            ProbeEvent::MacrUpdate {
+                port: u,
+                macr: f[0],
+                delta: f[1],
+                dev: f[2],
+                gain: f[3],
+            },
+            ProbeEvent::RmTurnaround {
+                vc: u,
+                er: f[0],
+                ci,
+            },
+            ProbeEvent::CwndChange {
+                flow: u,
+                cwnd: f[1],
+                ssthresh: f[2],
+            },
+            ProbeEvent::SessionStart { session: u },
+            ProbeEvent::SessionStop { session: !u },
+        ];
+        for reason in [DropReason::Overflow, DropReason::Policy, DropReason::Wire] {
+            evs.push(ProbeEvent::Drop {
+                port: u,
+                qlen: u / 2,
+                reason,
+            });
+        }
+        evs
+    }
+
+    fn any_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            any::<f64>(),
+            (0usize..SPECIAL_F64.len()).prop_map(|i| SPECIAL_F64[i]),
+        ]
+    }
+
+    fn any_ns() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            0u64..EXACT_SECS_BELOW_NS,
+            (0u32..64, any::<u64>()).prop_map(|(bits, r)| r >> bits),
+            (0u64..=u64::MAX / 1_000_000_000).prop_map(|s| s * 1_000_000_000),
+            (0u64..2048).prop_map(|d| (EXACT_SECS_BELOW_NS - 1024).wrapping_add(d)),
+            (0u64..2048).prop_map(|d| ((1u64 << 53) - 1024).wrapping_add(d)),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn write_event_json_matches_the_format_oracle(
+            ns in any_ns(),
+            node in prop_oneof![any::<usize>(), 0usize..1000, Just(usize::MAX)],
+            u in any::<u32>(),
+            f in (any_f64(), any_f64(), any_f64(), any_f64()),
+            ci in any::<bool>(),
+        ) {
+            let (t, node) = (SimTime(ns), NodeId(node));
+            for ev in every_kind(u, [f.0, f.1, f.2, f.3], ci) {
+                prop_assert_eq!(encode(t, node, &ev), oracle_event_to_json(t, node, &ev));
+                prop_assert_eq!(event_to_json(t, node, &ev), oracle_event_to_json(t, node, &ev));
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_matches_oracle_on_edge_values() {
+        let mut times: Vec<u64> = vec![0, 1, 10, 999_999_999, u64::MAX, u64::MAX - 1];
+        for s in [1u64, 2, 10, 86_400, 4_503_599, 18_446_744_073] {
+            times.extend([
+                s * 1_000_000_000 - 1,
+                s * 1_000_000_000,
+                s * 1_000_000_000 + 1,
+            ]);
+        }
+        for bound in [EXACT_SECS_BELOW_NS, 1 << 53] {
+            times.extend((0..=64).map(|d| bound - 32 + d));
+        }
+        // Every bit width, a few hundred values each.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for bits in 1..=64u32 {
+            for _ in 0..300 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                times.push(x >> (64 - bits));
+            }
+        }
+        let nodes = [0, 1, 9, 10, 4_294_967_295, usize::MAX];
+        for (i, &ns) in times.iter().enumerate() {
+            let node = NodeId(nodes[i % nodes.len()]);
+            let f = SPECIAL_F64[i % SPECIAL_F64.len()];
+            let g = SPECIAL_F64[(i / 7) % SPECIAL_F64.len()];
+            for ev in every_kind(i as u32 ^ u32::MAX, [f, g, -f, 1.0 / g], i % 2 == 0) {
+                assert_eq!(
+                    encode(SimTime(ns), node, &ev),
+                    oracle_event_to_json(SimTime(ns), node, &ev),
+                    "t = {ns} ns"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn t_prints_as_plain_trimmed_seconds() {
+        let ev = ProbeEvent::SessionStart { session: 0 };
+        let t_of = |ns: u64| {
+            let line = event_to_json(SimTime(ns), NodeId(0), &ev);
+            line["{\"t\":".len()..line.find(',').unwrap()].to_string()
+        };
+        assert_eq!(t_of(0), "0");
+        assert_eq!(t_of(1), "0.000000001");
+        assert_eq!(t_of(1_500_000_000), "1.5");
+        assert_eq!(t_of(3_000_000_000), "3");
+        assert_eq!(t_of(123_456_789_012), "123.456789012");
+    }
+
+    /// A writer that accepts `room` bytes in total, then fails every
+    /// write (after a final partial one) as a full disk would.
+    struct FailingWriter {
+        accepted: Rc<RefCell<Vec<u8>>>,
+        room: usize,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut sink = self.accepted.borrow_mut();
+            let n = buf.len().min(self.room - sink.len());
+            if n == 0 && !buf.is_empty() {
+                return Err(io::Error::other("disk full"));
+            }
+            sink.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_probe_survives_a_failing_writer() {
+        let events: Vec<(SimTime, ProbeEvent)> = (0..2_000u32)
+            .map(|i| {
+                let ev = ProbeEvent::Enqueue {
+                    port: i % 3,
+                    qlen: i,
+                };
+                (SimTime(u64::from(i) * 2_731), ev)
+            })
+            .collect();
+        let full: Vec<String> = events
+            .iter()
+            .map(|(t, ev)| event_to_json(*t, NodeId(7), ev) + "\n")
+            .collect();
+        for room in [0, 1, 100, 8_191, 8_192, 20_000, 60_000] {
+            let accepted = Rc::new(RefCell::new(Vec::new()));
+            let mut p = JsonlProbe::new(FailingWriter {
+                accepted: Rc::clone(&accepted),
+                room,
+            });
+            for (t, ev) in &events {
+                p.on_event(*t, NodeId(7), ev);
+            }
+            p.flush();
+            p.flush();
+            let written = p.written() as usize;
+            assert!(written < events.len(), "room {room}: some lines must fail");
+            // Counted lines are whole lines in order; the sink holds a
+            // prefix of them, so every line on disk was counted.
+            let counted: String = full[..written].concat();
+            let sink = accepted.borrow();
+            assert!(counted.as_bytes().starts_with(&sink), "room {room}");
+            assert_eq!(sink.len(), room.min(counted.len()), "room {room}");
+            // Once the writer fails, the probe stops counting lines as
+            // soon as its buffer is full.
+            assert!(
+                counted.len() <= room + 8 * 1024,
+                "room {room}: {written} counted"
+            );
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! {batch 64,1}` matrix on one ATM experiment (fig2), one TCP
 //! experiment (fig17) and a generated metro scene (metro-chain-10k,
 //! shortened so the debug-build matrix stays fast).
+//!
+//! Those matrices prove identity within one build only. The golden
+//! digests below pin the trace bytes across commits, so a change to the
+//! trace encoder (or anything upstream of it) cannot silently rewrite
+//! every trace.
 
 use phantom_repro::atm::{set_tx_batch_limit, tx_batch_limit};
 use phantom_repro::metrics::fnv1a_64;
@@ -28,6 +33,16 @@ static BATCH_LIMIT_LOCK: Mutex<()> = Mutex::new(());
 
 const SEED: u64 = 1996;
 const IDS: [&str; 3] = ["fig2", "fig17", "metro-chain-10k"];
+
+/// FNV-1a digests of serial (`shards 0`) trace bodies at [`SEED`],
+/// recorded with the `format!`-based encoder that predates
+/// `write_event_json`. A digest may change only together with a
+/// documented, deliberate trace re-baseline.
+const GOLDEN_DIGESTS: [(&str, u64); 3] = [
+    ("fig2", 0x5103_2447_dfe2_7afa),
+    ("fig17", 0x47ae_59f4_b067_6e93),
+    ("churn", 0xc605_d314_8205_3497),
+];
 
 /// Register a shortened metro-chain-10k (8 ms instead of the committed
 /// duration) as a dynamic experiment, once per process. The topology —
@@ -59,8 +74,28 @@ struct Fingerprint {
     queue_peak: u64,
 }
 
+/// Register the committed `churn` scene unchanged, once per process.
+fn register_churn() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenes/churn.json");
+        let scene = phantom_repro::scene::load_scene_file(&path).expect("committed churn scene");
+        phantom_repro::scene::register_scene(scene);
+    });
+}
+
 fn run_matrix_point(jobs: usize, shards: usize, tag: &str) -> BTreeMap<String, Fingerprint> {
     register_short_metro();
+    run_traces(&IDS, jobs, shards, tag)
+}
+
+/// Run `ids` at [`SEED`] with full tracing and fingerprint each trace.
+fn run_traces(
+    ids: &[&str],
+    jobs: usize,
+    shards: usize,
+    tag: &str,
+) -> BTreeMap<String, Fingerprint> {
     let dir = std::env::temp_dir().join(format!(
         "phantom-trace-determinism-{}-{tag}",
         std::process::id()
@@ -73,7 +108,7 @@ fn run_matrix_point(jobs: usize, shards: usize, tag: &str) -> BTreeMap<String, F
         shards,
         ..SweepOptions::default()
     };
-    let batch: Vec<SweepJob> = IDS
+    let batch: Vec<SweepJob> = ids
         .iter()
         .map(|id| SweepJob {
             id: id.to_string(),
@@ -181,5 +216,23 @@ fn traces_are_identical_across_shard_counts() {
                  shards=1 jobs=1 batch={default_limit}"
             );
         }
+    }
+}
+
+/// The cross-commit pin: serial trace bodies of fig2, fig17 and the
+/// `churn` scene must hash to the digests recorded before the encoder
+/// rewrite.
+#[test]
+fn trace_bodies_match_golden_digests() {
+    let _lock = BATCH_LIMIT_LOCK.lock().unwrap();
+    register_churn();
+    let ids: Vec<&str> = GOLDEN_DIGESTS.iter().map(|(id, _)| *id).collect();
+    let got = run_traces(&ids, 1, 0, "golden");
+    for (id, want) in GOLDEN_DIGESTS {
+        assert_eq!(
+            got[id].trace_digest, want,
+            "{id}: trace body digest {:#x} differs from the golden {want:#x}",
+            got[id].trace_digest
+        );
     }
 }
