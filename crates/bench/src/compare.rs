@@ -515,10 +515,15 @@ mod tests {
 
     #[test]
     fn committed_baseline_without_calendar_bytes_parses() {
-        // `calendar_bytes` is additive: the committed record predates it
-        // and must still parse, scale probe included.
-        let base = parse_bench_json(include_str!("../../../BENCH_phantom.json"))
-            .expect("committed baseline parses");
+        // `calendar_bytes` is additive: a record from before it existed
+        // must still parse, scale probe included. Dropping the field from
+        // the committed record gives one.
+        let text = include_str!("../../../BENCH_phantom.json");
+        let at = text.find("\"calendar_bytes\": ").expect("committed field");
+        let end = at + text[at..].find(", ").expect("a field follows") + 2;
+        let old = format!("{}{}", &text[..at], &text[end..]);
+        assert!(!old.contains("calendar_bytes"));
+        let base = parse_bench_json(&old).expect("committed baseline parses");
         let scale = base.scale.expect("committed baseline has a scale probe");
         assert_eq!(scale.scene, "metro-100k");
         assert!(scale.sessions_per_gb > 0.0);

@@ -85,9 +85,9 @@ fn usage() -> ExitCode {
     eprintln!("       run ... [--post-mortem F.jsonl]           # panic flight-recorder dump");
     eprintln!("       run ... [--post-mortem-depth N]           # events kept in the dump ring");
     eprintln!("       run ... [--checkpoint-every S|Nev] [--checkpoint-dir DIR]");
-    eprintln!("                                                 # periodic phantom-checkpoint/1");
-    eprintln!("       run ... [--shards N]                      # intra-run PDES shards; output");
-    eprintln!("                                                 # byte-identical at any N >= 1");
+    eprintln!("                                                 # periodic phantom-checkpoint/2");
+    eprintln!("       run|resume ... [--shards N]               # intra-run PDES shards; output");
+    eprintln!("                                                 # byte-identical at any N");
     eprintln!("       run <scene.json> [--analyze]              # live phantom-analysis/1 report");
     eprintln!();
     eprintln!("scene file format: phantom-scene/1 JSON — see schemas/phantom-scene-v1.md");
@@ -671,16 +671,6 @@ fn main() -> ExitCode {
     // checkpoint also starts with `{`, so this must branch before the
     // scene-vs-DSL sniff below.
     if cmd == "resume" {
-        // A checkpoint records the serial engine's exact calendar state;
-        // resuming it sharded would splice two different deterministic
-        // interleavings into one trace.
-        if opts.shards > 0 {
-            eprintln!(
-                "error: --shards is not yet compatible with resume: a checkpointed run \
-                 must continue on the serial engine; drop --shards"
-            );
-            return ExitCode::FAILURE;
-        }
         return match phantom_cli::resume(Path::new(path), until, &opts) {
             Ok(outcome) => {
                 print!("{}", outcome.rendered);

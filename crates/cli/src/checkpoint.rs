@@ -1,4 +1,4 @@
-//! `phantom-checkpoint/1`: periodic engine checkpoints and `phantom
+//! `phantom-checkpoint/2`: periodic engine checkpoints and `phantom
 //! resume`.
 //!
 //! A checkpoint is one JSONL file carrying everything needed to continue
@@ -6,8 +6,8 @@
 //! original input text (scene JSON or topology DSL) so the topology can
 //! be rebuilt, the trace file's byte offset at the snapshot instant, the
 //! telemetry counters so far, and the engine's complete dynamic state
-//! (every node's fields + RNG stream, the clock, and every pending
-//! calendar event with its `(time, seq)` ordering key).
+//! (every node's fields, RNG stream and send count, the clock, and every
+//! pending calendar event with its `(time, seq)` ordering key).
 //!
 //! The hard contract: a resumed run's event sequence is byte-identical
 //! to the suffix of the uninterrupted run. Everything here serves that —
@@ -16,6 +16,8 @@
 //! inside node state use the engine's exact round-trip `key=value`
 //! encoding, and checkpoint instants are aligned to absolute sim-time
 //! boundaries so a resumed run re-checkpoints at the identical instants.
+//! The ordering keys do not depend on the shard count, so a checkpoint
+//! taken at one `--shards` value resumes at any other.
 
 use crate::exec::{build_topology, collect_report, run_driver, CheckpointEvery, RunOptions};
 use phantom_atm::AtmMsg;
@@ -63,7 +65,11 @@ fn u64s(v: u64) -> String {
     format!("\"{v}\"")
 }
 
-/// Render a checkpoint as `phantom-checkpoint/1` JSONL text.
+/// The retired checkpoint schema, refused by name: its event `seq`s are
+/// insertion-order tie-breaks and its nodes carry no send counts.
+const CHECKPOINT_SCHEMA_V1: &str = "phantom-checkpoint/1";
+
+/// Render a checkpoint as `phantom-checkpoint/2` JSONL text.
 pub fn render_checkpoint(
     manifest: &Manifest,
     kind: &str,
@@ -98,13 +104,14 @@ pub fn render_checkpoint(
     ));
     for n in &snap.nodes {
         out.push_str(&format!(
-            "{{\"record\":\"node\",\"id\":{},\"type\":{},\"rng\":{},\"state\":{}}}\n",
+            "{{\"record\":\"node\",\"id\":{},\"type\":{},\"rng\":{},\"send_seq\":{},\"state\":{}}}\n",
             u64s(n.id as u64),
             json_str(&n.type_name),
             json_str(&format!(
                 "{},{},{},{}",
                 n.rng[0], n.rng[1], n.rng[2], n.rng[3]
             )),
+            u64s(n.send_seq),
             json_str(&n.state),
         ));
     }
@@ -147,6 +154,14 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointDoc, String> {
     let (i, line) = lines.next().ok_or("empty checkpoint")?;
     let head = parse(i, line)?;
     let schema = get_str(&head, "schema")?;
+    if schema == CHECKPOINT_SCHEMA_V1 {
+        return Err(format!(
+            "{} is {CHECKPOINT_SCHEMA_V1:?}, which this build no longer reads: its \
+             events are ordered by insertion, not by the per-sender key; re-run to \
+             take {CHECKPOINT_SCHEMA:?} checkpoints",
+            path.display()
+        ));
+    }
     if schema != CHECKPOINT_SCHEMA {
         return Err(format!(
             "{} is {schema:?}, not {CHECKPOINT_SCHEMA:?}",
@@ -205,6 +220,7 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointDoc, String> {
                     id: get_u64(&pairs, "id")? as usize,
                     type_name: get_str(&pairs, "type")?,
                     rng,
+                    send_seq: get_u64(&pairs, "send_seq")?,
                     state: get_str(&pairs, "state")?,
                 });
             }
@@ -482,6 +498,9 @@ pub fn resume(
         ));
     }
 
+    // The keys do not depend on the shard count, so the resumed run may
+    // use another `--shards` than the checkpointed one.
+    let _shard_guard = phantom_sim::ShardGuard::new(opts.shards);
     // Checkpoint-during-resume inherits the original source verbatim.
     let mut opts = opts.clone();
     if opts.checkpoint_source.is_empty() {
@@ -576,6 +595,7 @@ mod tests {
                 id: 0,
                 type_name: "demo::Node<alloc::boxed::Box<dyn Thing>>".into(),
                 rng: [u64::MAX, 1, 2, 3],
+                send_seq: (1 << 40) - 1,
                 state: "q=5 macr=13.64 name=a%20b%3Dc".into(),
             }],
             events: vec![EventSnapshot {
@@ -617,6 +637,22 @@ mod tests {
         assert_eq!(doc.trace_offset, 777);
         assert_eq!(doc.counters, counters);
         assert_eq!(doc.snap, snap);
+    }
+
+    #[test]
+    fn refuses_a_v1_checkpoint_by_name() {
+        let dir = std::env::temp_dir().join(format!("phantom-ckpt-v1-{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("old.jsonl");
+        std::fs::write(
+            &path,
+            "{\"schema\":\"phantom-checkpoint/1\",\"scenario\":\"fig2\",\"config_hash\":\"0\"}\n",
+        )
+        .unwrap();
+        let err = read_checkpoint(&path).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(err.contains("\"phantom-checkpoint/1\""), "{err}");
+        assert!(err.contains("no longer reads"), "{err}");
     }
 
     #[test]

@@ -408,6 +408,7 @@ mod tests {
             id: 0,
             type_name: "demo::Sw".into(),
             rng,
+            send_seq: 0,
             state: state.into(),
         };
         let ev = |t: u64, seq: u64| EventSnapshot {

@@ -72,7 +72,7 @@ pub struct RunOptions {
     /// often the `-v` stderr line and the status file are refreshed.
     /// `None` keeps the historical default of ten slices per run.
     pub heartbeat_secs: Option<f64>,
-    /// Emit a `phantom-checkpoint/1` artifact this often (sim-seconds,
+    /// Emit a `phantom-checkpoint/2` artifact this often (sim-seconds,
     /// or every N dispatched events with an `ev` suffix). Requires
     /// [`RunOptions::checkpoint_dir`] and [`RunOptions::checkpoint_source`].
     pub checkpoint_every: Option<CheckpointEvery>,
@@ -88,27 +88,12 @@ pub struct RunOptions {
     /// file path); empty means `"cli"`.
     pub scenario: String,
     /// Intra-run shard count (`--shards`): run the engine on this many
-    /// conservative PDES shards. 0 (the default) keeps the serial
-    /// engine. Incompatible with checkpointing for now — checkpoints
-    /// would have to land exactly on epoch barriers to stay
-    /// well-defined, so [`RunOptions::check`] rejects the combination.
+    /// conservative PDES shards. 0 (the default) and 1 both mean one
+    /// shard; every count gives the same trace.
     pub shards: usize,
 }
 
 impl RunOptions {
-    /// Refuse option combinations no run can honour; every entry point
-    /// calls this before building anything.
-    pub fn check(&self) -> Result<(), String> {
-        if self.shards > 0 && self.checkpoint_every.is_some() {
-            return Err(
-                "--shards is not yet compatible with --checkpoint-every: checkpoints are only \
-                 well-defined at shard epoch barriers; drop one of the two flags"
-                    .into(),
-            );
-        }
-        Ok(())
-    }
-
     /// The probe stack these options ask for, plus an optional live
     /// analysis tap (targets, window seconds).
     pub(crate) fn probe_spec(&self, analysis: Option<(AnalysisTargets, f64)>) -> ProbeSpec {
@@ -267,7 +252,7 @@ pub(crate) fn write_metrics(
 /// file (final write has `state: "done"`). The slice width is
 /// [`RunOptions::heartbeat_secs`] of simulated time (default: a tenth of
 /// the remaining horizon). When a checkpoint driver is supplied, every
-/// slice advances through it so `phantom-checkpoint/1` artifacts land at
+/// slice advances through it so `phantom-checkpoint/2` artifacts land at
 /// their exact cadence. Slicing `run_until` cannot change results — the
 /// event order within each slice is exactly the order of one
 /// uninterrupted run. Starts from the engine's current clock, so resumed
@@ -436,7 +421,6 @@ pub(crate) fn collect_report(
 /// with every option on produces the same report as a bare [`run_spec`].
 pub fn run_spec_opts(spec: &TopologySpec, opts: &RunOptions) -> Result<RunReport, String> {
     spec.validate()?;
-    opts.check()?;
     // Scoped to this run; restored on drop, panics included.
     let _shard_guard = phantom_sim::ShardGuard::new(opts.shards);
     let wall_start = std::time::Instant::now();
@@ -832,7 +816,7 @@ run 400ms seed=3
             ("phantom-profile-v1.md", "phantom-profile/1"),
             ("phantom-status-v1.md", "phantom-status/1"),
             ("phantom-postmortem-v1.md", "phantom-postmortem/1"),
-            ("phantom-checkpoint-v1.md", "phantom-checkpoint/1"),
+            ("phantom-checkpoint-v2.md", "phantom-checkpoint/2"),
             ("phantom-diverge-v1.md", "phantom-diverge/1"),
         ] {
             let doc = std::fs::read_to_string(schemas.join(file)).unwrap();

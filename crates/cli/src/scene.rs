@@ -27,7 +27,6 @@ pub fn run_scene_opts(
     analyze_window: Option<f64>,
     opts: &RunOptions,
 ) -> Result<SceneReport, String> {
-    opts.check()?;
     // Scoped to this run; restored on drop, panics included.
     let _shard_guard = phantom_sim::ShardGuard::new(opts.shards);
     let wall_start = std::time::Instant::now();
@@ -136,29 +135,67 @@ mod tests {
         assert_eq!(plain.result.render(0), rendered);
     }
 
-    /// `--shards` with `--checkpoint-every` is refused the same way on
-    /// the topology-file path and the scene path, before anything runs.
+    /// `--shards 2` with `--checkpoint-every` runs on the topology-file
+    /// path and the scene path alike, checkpoints, and traces the same
+    /// bytes as the run without shards or checkpoints.
     #[test]
-    fn shards_with_checkpoints_are_refused_on_both_paths() {
-        let opts = RunOptions {
-            shards: 2,
-            checkpoint_every: Some(crate::CheckpointEvery::SimSecs(0.1)),
-            checkpoint_dir: Some(std::env::temp_dir().join("phantom-never-written")),
-            checkpoint_source: "unused".into(),
+    fn shards_with_checkpoints_run_on_both_paths() {
+        let dir = std::env::temp_dir().join(format!("phantom-cli-shard-ck-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = |tag: &str, shards: usize, every: Option<f64>| RunOptions {
+            shards,
+            trace: Some(dir.join(format!("{tag}.jsonl"))),
+            checkpoint_every: every.map(crate::CheckpointEvery::SimSecs),
+            checkpoint_dir: every.map(|_| dir.join(format!("{tag}-ckpts"))),
+            checkpoint_source: "source".into(),
             ..RunOptions::default()
         };
         let spec = crate::parse_str(
             "switch s1\nswitch s2\ntrunk s1 s2 150mbps 10us\n\
-             session s1 s2 greedy\nalgorithm phantom u=5\nrun 10ms seed=3\n",
+             session s1 s2 greedy\nsession s1 s2 greedy\nalgorithm phantom u=5\n\
+             run 10ms seed=3\n",
         )
         .unwrap();
-        let topology = crate::run_spec_opts(&spec, &opts).expect_err("refused");
-        let scene = parse_scene(DUMBBELL_SCENE).unwrap();
-        let scene = run_scene_opts(&scene, 1996, None, &opts)
-            .err()
-            .expect("refused");
-        assert_eq!(topology, scene);
-        assert!(topology.contains("--shards"), "{topology}");
-        assert!(topology.contains("--checkpoint-every"), "{topology}");
+        crate::run_spec_opts(&spec, &opts("dsl", 0, None)).unwrap();
+        crate::run_spec_opts(&spec, &opts("dsl-s2", 2, Some(0.002))).unwrap();
+        let mut scene = parse_scene(DUMBBELL_SCENE).unwrap();
+        scene.duration_ms = 20.0;
+        run_scene_opts(&scene, 1996, None, &opts("scene", 0, None)).unwrap();
+        run_scene_opts(&scene, 1996, None, &opts("scene-s2", 2, Some(0.005))).unwrap();
+        for tag in ["dsl", "scene"] {
+            let read = |t: &str| std::fs::read(dir.join(format!("{t}.jsonl"))).unwrap();
+            assert_eq!(read(tag), read(&format!("{tag}-s2")), "{tag}: trace bytes");
+            let ckpts = std::fs::read_dir(dir.join(format!("{tag}-s2-ckpts"))).unwrap();
+            assert!(ckpts.count() >= 3, "{tag}: checkpoints written");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cancel at `--shards 2` stops the run at an epoch barrier: the
+    /// outcome says cancelled and the truncated trace lints.
+    #[test]
+    fn cancel_at_two_shards_stops_cleanly_and_the_trace_lints() {
+        let dir = std::env::temp_dir().join(format!("phantom-cli-cancel-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut scene = parse_scene(DUMBBELL_SCENE).unwrap();
+        scene.duration_ms = 600_000.0; // far more than the test waits for
+        let token = phantom_sim::CancelToken::new();
+        let _guard = phantom_sim::CancelGuard::new(token.clone());
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(300));
+            token.cancel();
+        });
+        let opts = RunOptions {
+            shards: 2,
+            trace: Some(dir.join("cancelled.jsonl")),
+            ..RunOptions::default()
+        };
+        let outcome = run_scene_opts(&scene, 1996, None, &opts).unwrap();
+        canceller.join().unwrap();
+        assert!(outcome.cancelled, "the run reports the cancel");
+        let text = std::fs::read_to_string(dir.join("cancelled.jsonl")).unwrap();
+        let lines = phantom_analyze::lint_trace_str(&text).expect("truncated trace lints");
+        assert!(lines > 0, "the run got under way before the cancel");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -34,10 +34,18 @@ fn load_scene(file: &str) -> (Scene, String) {
 ///    byte-identically onto the uninterrupted trace's prefix;
 /// 3. the resumed report and the re-analyzed stitched trace match the
 ///    uninterrupted run's.
-fn assert_resume_contract(file: &str, every: CheckpointEvery) {
+///
+/// The reference run has no `--shards`; the checkpointed run uses
+/// `ckpt_shards` and the resume `resume_shards`.
+fn assert_resume_contract(
+    file: &str,
+    every: CheckpointEvery,
+    ckpt_shards: usize,
+    resume_shards: usize,
+) {
     let (scene, source) = load_scene(file);
     let seed = 1996;
-    let dir = tmp(&scene.id.clone());
+    let dir = tmp(&format!("{}-s{ckpt_shards}-s{resume_shards}", scene.id));
     let window = phantom_analyze::DEFAULT_WINDOW_SECS;
 
     // Uninterrupted reference run, traced + live-analyzed.
@@ -68,6 +76,7 @@ fn assert_resume_contract(file: &str, every: CheckpointEvery) {
             checkpoint_every: Some(every),
             checkpoint_dir: Some(ck_dir.clone()),
             checkpoint_source: source.clone(),
+            shards: ckpt_shards,
             ..RunOptions::default()
         },
     )
@@ -104,6 +113,7 @@ fn assert_resume_contract(file: &str, every: CheckpointEvery) {
         None,
         &RunOptions {
             trace: Some(suffix.clone()),
+            shards: resume_shards,
             ..RunOptions::default()
         },
     )
@@ -138,26 +148,26 @@ fn assert_resume_contract(file: &str, every: CheckpointEvery) {
 
 #[test]
 fn resume_contract_fig2() {
-    assert_resume_contract("fig2.json", CheckpointEvery::SimSecs(0.1));
+    assert_resume_contract("fig2.json", CheckpointEvery::SimSecs(0.1), 0, 0);
 }
 
 #[test]
 fn resume_contract_fig4() {
-    assert_resume_contract("fig4.json", CheckpointEvery::SimSecs(0.2));
+    assert_resume_contract("fig4.json", CheckpointEvery::SimSecs(0.2), 0, 0);
 }
 
 #[test]
 fn resume_contract_fig6() {
     // Event-count cadence on one scene so both boundary kinds are
     // exercised end to end.
-    assert_resume_contract("fig6.json", CheckpointEvery::Events(200_000));
+    assert_resume_contract("fig6.json", CheckpointEvery::Events(200_000), 0, 0);
 }
 
 #[test]
 fn resume_contract_churn() {
     // Mid-run dynamic events (joins at 300 ms, leaves at 600 ms) must
     // survive the checkpoint round-trip like everything else.
-    assert_resume_contract("churn.json", CheckpointEvery::SimSecs(0.2));
+    assert_resume_contract("churn.json", CheckpointEvery::SimSecs(0.2), 0, 0);
 }
 
 /// The `--jobs 1` vs `--jobs 4` half of the acceptance: four resumes of
@@ -240,7 +250,28 @@ fn concurrent_resumes_match_serial() {
 #[ignore = "large scene; run explicitly"]
 fn resume_contract_metro_chain_10k() {
     // The metro scene simulates 200 ms, so checkpoint at 50 ms.
-    assert_resume_contract("metro/metro-chain-10k.json", CheckpointEvery::SimSecs(0.05));
+    assert_resume_contract(
+        "metro/metro-chain-10k.json",
+        CheckpointEvery::SimSecs(0.05),
+        0,
+        0,
+    );
+}
+
+/// The ordering keys do not depend on the shard count, so a checkpoint
+/// taken at `--shards 2` resumes at one shard, and the reverse — each
+/// stitching the trace of the run without `--shards`.
+#[test]
+fn resume_contract_across_shard_counts() {
+    assert_resume_contract("churn.json", CheckpointEvery::SimSecs(0.2), 2, 1);
+    assert_resume_contract("fig2.json", CheckpointEvery::SimSecs(0.1), 1, 2);
+}
+
+/// An event-count cadence on a sharded run checkpoints at the first
+/// epoch barrier past each boundary; its resume still stitches.
+#[test]
+fn resume_contract_event_cadence_at_two_shards() {
+    assert_resume_contract("fig6.json", CheckpointEvery::Events(200_000), 2, 0);
 }
 
 const DUMBBELL_A: &str = r#"{

@@ -37,7 +37,7 @@ pub const POSTMORTEM_SCHEMA: &str = "phantom-postmortem/1";
 /// Schema tag for engine checkpoints (`phantom run --checkpoint-every`),
 /// a JSONL rendering of a complete mid-run engine snapshot plus the
 /// provenance needed to rebuild the topology and resume byte-identically.
-pub const CHECKPOINT_SCHEMA: &str = "phantom-checkpoint/1";
+pub const CHECKPOINT_SCHEMA: &str = "phantom-checkpoint/2";
 /// Schema tag for trace-divergence reports (`phantom diverge`): the
 /// first divergent event between two traces, its context window, and —
 /// when checkpoints are available — an engine-state diff localizing it.

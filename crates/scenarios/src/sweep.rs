@@ -69,10 +69,9 @@ pub struct SweepOptions {
     /// many recent events a dump retains. `None` keeps the default.
     pub post_mortem_depth: Option<usize>,
     /// Intra-run shard count (`--shards`): run each simulation's engine
-    /// on this many conservative PDES shards. 0 (the default) keeps the
-    /// serial engine. Results are byte-identical at any non-zero shard
-    /// count (but use a different — equally deterministic — equal-time
-    /// tie-break than the serial engine; see `phantom_sim::shard`).
+    /// on this many conservative PDES shards. 0 (the default) and 1 both
+    /// mean one shard. Results are byte-identical at any shard count
+    /// (see `phantom_sim::shard`).
     pub shards: usize,
 }
 

@@ -18,11 +18,9 @@
 //! first pop, so sliced drivers (heartbeat loops) observe a cancel at
 //! the very next slice no matter how the horizon is diced.
 //!
-//! Like tracing and the flight recorder, an armed token forces the
-//! serial event loop even when shards were requested — a cancelled
-//! sharded epoch would have no deterministic truncation point. Servers
-//! that cancel jobs run them serially, so this costs nothing in
-//! practice.
+//! An armed token changes neither the dispatch loop nor the shard count.
+//! A one-shard run checks it before each calendar slice; a sharded run
+//! checks it at every epoch barrier, where all shards stop together.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -6,9 +6,10 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulation time, so
 //!   event ordering is exact and runs are bit-reproducible.
-//! * [`Engine`] — a single-threaded event loop dispatching typed messages to
-//!   [`Node`]s through a hierarchical timer-wheel calendar ([`event`],
-//!   tagged [`CALENDAR`]) with exact FIFO tie-breaking at equal times.
+//! * [`Engine`] — one event loop dispatching typed messages to [`Node`]s
+//!   through a hierarchical timer-wheel calendar ([`event`], tagged
+//!   [`CALENDAR`]), with one equal-time rule: the per-sender ordering key
+//!   of [`shard`].
 //! * [`rng`] — seed-derived per-stream random number generators so that
 //!   adding a node never perturbs the random sequence of another.
 //! * [`stats`] — time series, time-weighted averages, counters and
@@ -31,15 +32,16 @@
 //! * [`snapshot`] — engine checkpointing: complete dynamic-state
 //!   snapshots (node fields, RNG streams, timer-wheel contents) that
 //!   restore into a rebuilt engine and resume byte-identically.
-//! * [`shard`] — conservative intra-run parallelism: the topology is
-//!   partitioned into shards that advance in lookahead-bounded epochs on
-//!   their own threads, with deterministic cross-shard merge — byte-
-//!   identical output at any shard count.
+//! * [`shard`] — the ordering key, and conservative intra-run
+//!   parallelism: the topology is partitioned into shards that advance in
+//!   lookahead-bounded epochs on their own threads, with deterministic
+//!   cross-shard merge — byte-identical output at any shard count, a run
+//!   without shards being a one-shard run.
 //!
 //! The kernel is deliberately synchronous by default: a flow-control
 //! simulation is CPU-bound and must be deterministic, so an async runtime
 //! would add overhead and nondeterminism without benefit. The opt-in
-//! sharded path keeps that bargain by trading asynchrony for conservative
+//! sharded run keeps that bargain by trading asynchrony for conservative
 //! time barriers.
 //!
 //! ## Example
@@ -66,9 +68,9 @@
 //! assert_eq!(engine.now(), SimTime::from_secs_f64(1.0));
 //! ```
 
-// `deny`, not `forbid`: the sharded run path ([`shard`]) holds nodes in
-// `UnsafeCell` arenas so disjoint shard workers can dispatch through a
-// shared reference. Every use is a scoped `#[allow(unsafe_code)]` with a
+// `deny`, not `forbid`: the dispatch loop holds nodes in `UnsafeCell`
+// arenas so disjoint shard workers can dispatch through a shared
+// reference. Every use is a scoped `#[allow(unsafe_code)]` with a
 // SAFETY argument; everything else in the crate stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,7 +91,7 @@ pub mod time;
 pub mod trace;
 
 pub use cancel::{CancelGuard, CancelToken};
-pub use engine::{thread_events_dispatched, ArenaStats, Ctx, Engine, Node, NodeId, TraceHook};
+pub use engine::{thread_events_dispatched, ArenaStats, Ctx, Engine, Node, NodeId};
 pub use event::CALENDAR;
 pub use fifo::BoundedFifo;
 pub use flight::{FlightGuard, FlightProbe};

@@ -1,11 +1,12 @@
 //! Typed, zero-cost-when-disabled instrumentation.
 //!
-//! The engine's [`crate::TraceHook`] sees every raw message but knows
-//! nothing about what the message *means*. This module is the structured
-//! counterpart: nodes announce semantic events — a cell enqueued, a MACR
-//! update with its innards, an RM cell turned around — through
-//! [`Ctx::emit`](crate::Ctx::emit), and pluggable [`Probe`] sinks consume
-//! them.
+//! The engine's messages say what a node receives, not what it *means*.
+//! This module makes the meaning observable: nodes announce semantic
+//! events — a cell enqueued, a MACR update with its innards, an RM cell
+//! turned around — through [`Ctx::emit`](crate::Ctx::emit), and pluggable
+//! [`Probe`] sinks consume them. On a sharded run the workers buffer
+//! their emissions and the coordinator replays them in the global
+//! dispatch order, so every sink sees the same stream at any shard count.
 //!
 //! ## Zero cost when off
 //!

@@ -52,9 +52,8 @@
 //! ```
 //!
 //! The thread-local request means scenario code that builds its engine
-//! internally (the `repro` sweep) is profiled without plumbing; code
-//! that owns its engine can also force instrumentation directly with
-//! [`crate::Engine::profile`].
+//! internally (the `repro` sweep) is profiled without plumbing; the
+//! bracket is the one profiler switch.
 
 use std::cell::{Cell, RefCell};
 
@@ -106,7 +105,7 @@ impl CalendarStats {
     }
 }
 
-/// Per-run-loop accumulator used by the engine's instrumented loop.
+/// Per-run-loop accumulator used by the engine's observed dispatch loop.
 /// Arena buckets are indexed by arena id (a plain array access per
 /// event); kind buckets are a tiny linear-probed list keyed by the
 /// classifier's `&'static str` (pointer equality first, so the common
@@ -296,10 +295,8 @@ impl ProfileMarker {
 }
 
 /// Take (and reset) everything collected on this thread without
-/// touching the bracket state — the harvest path when profiling was
-/// forced per engine via [`crate::Engine::profile`] rather than opened
-/// with [`begin_profile`].
-pub fn take_report() -> ProfileReport {
+/// touching the bracket state.
+fn take_report() -> ProfileReport {
     let c = COLLECT.with(|c| std::mem::take(&mut *c.borrow_mut()));
     let mut nodes: Vec<ProfileEntry> = c
         .nodes

@@ -15,9 +15,8 @@
 //!
 //! ## The deterministic ordering key
 //!
-//! The serial engine tie-breaks equal-time events by a global insertion
-//! counter, which has no meaning when several shards insert concurrently.
-//! Sharded runs instead mint, per send, the 64-bit key
+//! Several shards insert concurrently, so no global insertion counter can
+//! order equal-time events. Every send instead mints the 64-bit key
 //!
 //! ```text
 //! key = (sender + 1) << 40 | per_sender_counter
@@ -25,17 +24,17 @@
 //!
 //! which is unique (the counter is per node and monotonic), reproducible
 //! (it depends only on the sender's own dispatch history, which is
-//! shard-invariant), and totally ordered. Events scheduled *before* the
-//! run — topology kicks, timeline admin messages — keep their original
-//! build seqs, all below `1 << 40`, so they still sort ahead of every
-//! in-run send at an equal timestamp. The per-sender counters live in
-//! the engine and persist across `run_until` slices, so a heartbeat-
-//! sliced run mints the same keys as a single-call run.
+//! shard-invariant), and totally ordered. Events scheduled from outside
+//! any node — topology kicks, timeline admin messages — take the
+//! calendar's insertion number, always below `1 << 40`, so they sort ahead
+//! of every in-run send at an equal timestamp. The per-sender counters
+//! live in the engine, persist across `run_until` slices and go into
+//! checkpoints, so a sliced or resumed run mints the same keys as a
+//! single-call run.
 //!
-//! This tie-break differs from the serial engine's insertion order, so a
-//! sharded run (any `k`, including `k = 1`) is a *different* — equally
-//! valid and equally deterministic — interleaving than a serial run of
-//! the same scenario. The contract is invariance across shard counts:
+//! This is the engine's only equal-time rule: a run without `--shards` is
+//! a one-shard run, on the same dispatch loop with the same keys. The
+//! contract is invariance across shard counts: no `--shards`,
 //! `--shards 1`, `--shards 2` and `--shards 4` produce byte-identical
 //! traces, analysis reports and telemetry.
 //!
@@ -60,26 +59,28 @@ use std::sync::{Barrier, Mutex};
 /// Bit position splitting an ordering key into `(sender + 1) | counter`.
 pub(crate) const KEY_SHIFT: u32 = 40;
 
-/// Maximum node count addressable by the key scheme (`sender + 1` must
-/// fit in the high 24 bits).
+/// Node count bound of the key scheme: `sender + 1` must fit in the
+/// high 24 bits.
 pub(crate) const MAX_NODES: usize = (1 << (64 - KEY_SHIFT)) - 1;
 
 thread_local! {
-    /// Requested shard count for engines run on this thread; 0 = serial.
+    /// Requested shard count for engines run on this thread; 0 and 1 both
+    /// mean one shard.
     static SHARDS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Request that engines run on this thread use `n` intra-run shards
-/// (0 restores the serial engine). Returns the previous value, for
+/// (0 and 1 both mean one shard). Returns the previous value, for
 /// save/restore bracketing; harnesses that may panic should prefer
 /// [`ShardGuard`]. An engine without [`crate::Engine::set_shard_hints`]
-/// hints (or with a zero lookahead) ignores the request and runs
-/// serially.
+/// hints (or with a zero lookahead) ignores the request and runs on one
+/// shard.
 pub fn set_shards(n: usize) -> usize {
     SHARDS.with(|c| c.replace(n))
 }
 
-/// The shard count currently requested on this thread (0 = serial).
+/// The shard count currently requested on this thread (0 = none, which
+/// runs one shard).
 pub fn shards() -> usize {
     SHARDS.with(|c| c.get())
 }
@@ -261,11 +262,13 @@ impl Probe for BufferProbe {
 ///  B — every worker has drained its inbox and published its minimum
 ///      pending time;
 ///  C — the coordinator (worker 0, on the run's driving thread) has
-///      merged probe buffers into the real probe and published the next
-///      window (or `done`).
+///      merged probe buffers into the real probe, checked the cancel
+///      token and the event budget, and published the next window (or
+///      `done`).
+///
+/// Each atomic is written before one wave and read after it; the
+/// barrier orders the two, so the atomics themselves are `Relaxed`.
 pub(crate) struct EpochShared<M> {
-    /// Next window start, ns.
-    pub start: AtomicU64,
     /// Next window end (exclusive), ns.
     pub end: AtomicU64,
     /// Set by the coordinator when no pending event remains at or
@@ -274,6 +277,10 @@ pub(crate) struct EpochShared<M> {
     /// Per-shard minimum pending time after the inbox drain
     /// (`u64::MAX` when idle).
     pub mins: Vec<AtomicU64>,
+    /// Per-shard pending event count after the inbox drain.
+    pub lens: Vec<AtomicU64>,
+    /// Events dispatched by all shards so far in this run.
+    pub events: AtomicU64,
     /// `inbox[to][from]`: staged sends published at barrier A, drained
     /// by shard `to` before barrier B. Insertion order is irrelevant —
     /// the ordering keys define delivery order.
@@ -285,12 +292,13 @@ pub(crate) struct EpochShared<M> {
 }
 
 impl<M> EpochShared<M> {
-    pub(crate) fn new(k: usize, start: SimTime, end: SimTime) -> Self {
+    pub(crate) fn new(k: usize, end: SimTime) -> Self {
         EpochShared {
-            start: AtomicU64::new(start.0),
             end: AtomicU64::new(end.0),
             done: AtomicBool::new(false),
             mins: (0..k).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            lens: (0..k).map(|_| AtomicU64::new(0)).collect(),
+            events: AtomicU64::new(0),
             inbox: (0..k)
                 .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
                 .collect(),

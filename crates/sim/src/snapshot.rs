@@ -14,7 +14,7 @@
 //! percent-escaped, numeric fields in exact round-trip encodings) and
 //! read back through a [`KvReader`]; messages cross the boundary via
 //! [`SnapshotMessage`]. Rendering a snapshot into the versioned
-//! `phantom-checkpoint/1` artifact (manifest, provenance, JSONL) is the
+//! `phantom-checkpoint/2` artifact (manifest, provenance, JSONL) is the
 //! CLI's job — the engine neither reads nor writes JSON.
 //!
 //! Restores are *rebuild-then-overwrite*: the caller reconstructs the
@@ -316,6 +316,9 @@ pub struct NodeSnapshot {
     pub type_name: String,
     /// Raw xoshiro256++ state of the node's RNG stream.
     pub rng: [u64; 4],
+    /// Sends the node has made so far: the low bits of the ordering key
+    /// its next send takes (see [`crate::shard`]).
+    pub send_seq: u64,
     /// The node's dynamic fields, as a [`KvWriter`] token string.
     pub state: String,
 }
@@ -325,9 +328,10 @@ pub struct NodeSnapshot {
 pub struct EventSnapshot {
     /// Delivery time.
     pub time: crate::time::SimTime,
-    /// Insertion sequence number — the FIFO tie-break among equal
-    /// times. Preserved exactly so the restored calendar delivers the
-    /// identical `(time, seq)` order.
+    /// Ordering key — the tie-break among equal times: the sender's
+    /// minted key, or the insertion number of an event scheduled from
+    /// outside any node. Preserved exactly so the restored calendar
+    /// delivers the identical `(time, seq)` order.
     pub seq: u64,
     /// Destination node id.
     pub dst: usize,
@@ -336,15 +340,16 @@ pub struct EventSnapshot {
 }
 
 /// Complete dynamic state of an engine at one instant: clock, dispatch
-/// count, calendar sequence counter, every node (state + RNG), and
-/// every pending event in `(time, seq)` order.
+/// count, calendar insertion counter, every node (state, RNG and send
+/// count), and every pending event in `(time, seq)` order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineSnapshot {
     /// Simulation clock at snapshot time.
     pub now: crate::time::SimTime,
     /// [`crate::Engine::events_processed`] at snapshot time.
     pub events_processed: u64,
-    /// The calendar's next insertion sequence number.
+    /// The calendar's next insertion number, the key of the next event
+    /// scheduled from outside any node.
     pub next_seq: u64,
     /// Per-node dynamic state, dense id order.
     pub nodes: Vec<NodeSnapshot>,

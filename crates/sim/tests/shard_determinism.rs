@@ -1,10 +1,10 @@
 //! Property test for the intra-run sharding contract: on random
 //! topologies with random (lookahead-respecting) link delays and random
-//! partition-affinity hints, a run at `--shards 1` and a run at
-//! `--shards 2` must produce the identical probe event sequence — same
-//! events, same order, same RNG draws — because the merged event order
-//! is a pure function of `(topology, seed)`, independent of where the
-//! cut falls.
+//! partition-affinity hints, a run without a shard request and runs at
+//! `--shards 1`, `2` and `3` must produce the identical probe event
+//! sequence — same events, same order, same RNG draws — because the
+//! merged event order is a pure function of `(topology, seed)`,
+//! independent of where the cut falls.
 
 use phantom_sim::probe::{install_thread_probe, take_thread_probe, Probe, ProbeEvent};
 use phantom_sim::{Ctx, Engine, Node, NodeId, ShardGuard, ShardHints, SimDuration, SimTime};
@@ -128,8 +128,9 @@ fn run_topo(topo: &Topo, seed: u64, shards: usize) -> Vec<String> {
     engine.run_until(SimTime(40_000));
     engine.run_until(SimTime(200_000));
     drop(take_thread_probe());
-    assert!(
-        !engine.step(),
+    assert_eq!(
+        engine.pending_events(),
+        0,
         "all TTL-bounded traffic must finish within the horizon"
     );
     Rc::try_unwrap(out).expect("probe dropped").into_inner()
@@ -141,6 +142,7 @@ proptest! {
     #[test]
     fn random_topologies_identical_at_shards_1_vs_2(topo in topo_strategy(), seed in 0u64..1_000) {
         let one = run_topo(&topo, seed, 1);
+        prop_assert_eq!(&run_topo(&topo, seed, 0), &one, "no request vs shards 1 diverged");
         let two = run_topo(&topo, seed, 2);
         prop_assert_eq!(&one, &two, "shards 1 vs 2 diverged");
         // And an uneven cut: more shards than most of these topologies
