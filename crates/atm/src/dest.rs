@@ -5,7 +5,8 @@
 //! data cell since the last RM arrived with its EFCI bit set, the
 //! turned-around RM cell carries CI=1. The destination also meters the
 //! session's delivered rate — the "measured rate" lines in the paper's
-//! TCP-style figures.
+//! TCP-style figures — and, unless built without one, a histogram of its
+//! cell delays.
 
 use crate::cell::{Cell, CellKind, VcId};
 use crate::msg::{AtmMsg, Timer};
@@ -27,9 +28,11 @@ pub struct AbrDest {
     pub rm_turned: u64,
     /// Delivered goodput (cells/s), sampled every `sample_interval`.
     pub rate_series: TimeSeries,
-    /// End-to-end delay of delivered data cells, milliseconds (1 ms bins
-    /// up to 1 s) — the session's cell-delay statistics.
-    pub delay_hist: Histogram,
+    /// End-to-end delay of delivered data cells, milliseconds (0.1 ms
+    /// bins up to 1 s) — the session's cell-delay statistics. `None` for
+    /// untraced sessions of a lean network
+    /// ([`crate::network::NetworkBuilder::lean_access`]).
+    pub delay_hist: Option<Box<Histogram>>,
     sample_interval: SimDuration,
     data_in_window: u64,
 }
@@ -37,7 +40,7 @@ pub struct AbrDest {
 impl AbrDest {
     /// A destination for `vc`, sending backward RM cells to `reply_to`
     /// (its attached switch) over a link with propagation delay `prop`,
-    /// sampling goodput every `sample_interval`.
+    /// sampling goodput every `sample_interval` and recording cell delays.
     pub fn new(
         vc: VcId,
         reply_to: NodeId,
@@ -54,10 +57,17 @@ impl AbrDest {
             data_received: 0,
             rm_turned: 0,
             rate_series: TimeSeries::new(),
-            delay_hist: Histogram::new(0.1, 10_000),
+            delay_hist: Some(Box::new(Histogram::new(0.1, 10_000))),
             sample_interval,
             data_in_window: 0,
         }
+    }
+
+    /// Record no cell delays: for sessions no reader asks about at
+    /// metro scale, where the histograms would dominate memory.
+    pub(crate) fn without_delay_hist(mut self) -> Self {
+        self.delay_hist = None;
+        self
     }
 
     /// The session id.
@@ -85,8 +95,9 @@ impl Node<AtmMsg> for AbrDest {
                     CellKind::Data => {
                         self.data_received += 1;
                         self.data_in_window += 1;
-                        let delay_ms = ctx.now().saturating_sub(cell.created).as_millis_f64();
-                        self.delay_hist.record(delay_ms);
+                        if let Some(h) = &mut self.delay_hist {
+                            h.record(ctx.now().saturating_sub(cell.created).as_millis_f64());
+                        }
                         if cell.efci {
                             self.efci_seen = true;
                         }
@@ -129,15 +140,26 @@ impl Node<AtmMsg> for AbrDest {
         }
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.rate_series.heap_bytes()
+            + self
+                .delay_hist
+                .as_ref()
+                .map_or(0, |h| std::mem::size_of::<Histogram>() + h.heap_bytes())
+    }
+
     fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        // vc, reply_to, prop and the sample interval are static.
+        // vc, reply_to, prop, the sample interval and whether a delay
+        // histogram exists are static.
         w.bool("efci_seen", self.efci_seen);
         w.u64("cells_received", self.cells_received);
         w.u64("data_received", self.data_received);
         w.u64("rm_turned", self.rm_turned);
         w.u64("data_in_window", self.data_in_window);
         w.scope("rate_series", |w| self.rate_series.save(w));
-        w.scope("delay_hist", |w| self.delay_hist.save(w));
+        if let Some(h) = &self.delay_hist {
+            w.scope("delay_hist", |w| h.save(w));
+        }
         Ok(())
     }
 
@@ -148,7 +170,12 @@ impl Node<AtmMsg> for AbrDest {
         self.rm_turned = r.u64("rm_turned")?;
         self.data_in_window = r.u64("data_in_window")?;
         r.scope("rate_series", |r| self.rate_series.restore(r))?;
-        r.scope("delay_hist", |r| self.delay_hist.restore(r))
+        // A `delay_hist` scope for a destination without a histogram
+        // (written before lean networks dropped untraced ones) is ignored.
+        match &mut self.delay_hist {
+            Some(h) => r.scope("delay_hist", |r| h.restore(r)),
+            None => Ok(()),
+        }
     }
 }
 

@@ -6,8 +6,9 @@
 //!
 //! * Sessions attach to their first switch through an *access link*
 //!   (default: PCR capacity, 0.01 ms propagation — the paper's
-//!   "negligible RTT" links). Access ports carry no allocator; rate
-//!   control lives on the contended trunk ports.
+//!   "negligible RTT" links). Access ports carry no allocator and record
+//!   no series; rate control, and the traces readers ask for, live on the
+//!   contended trunk ports.
 //! * Each inter-switch *trunk* creates one output port per direction, each
 //!   running its own instance of the allocator under test.
 //! * The forward path of a session is source → sw₀ → … → swₖ → dest; the
@@ -19,7 +20,7 @@ use crate::cell::VcId;
 use crate::dest::AbrDest;
 use crate::msg::{AtmMsg, Timer};
 use crate::params::AtmParams;
-use crate::port::Port;
+use crate::port::{Port, PortSeries};
 use crate::source::AbrSource;
 use crate::switch::{Switch, VcRoute};
 use crate::traffic::Traffic;
@@ -76,7 +77,9 @@ pub struct NetworkBuilder {
     trunks: Vec<TrunkSpec>,
     sessions: Vec<SessionSpec>,
     cbr_priority: bool,
-    lean_access: bool,
+    /// `Some(traced sessions)` in lean mode (see
+    /// [`NetworkBuilder::lean_access`]).
+    lean: Option<Vec<SessionId>>,
     acr_sample_stride: u64,
 }
 
@@ -103,7 +106,7 @@ impl NetworkBuilder {
             trunks: Vec::new(),
             sessions: Vec::new(),
             cbr_priority: false,
-            lean_access: false,
+            lean: None,
             acr_sample_stride: 1,
         }
     }
@@ -115,15 +118,22 @@ impl NetworkBuilder {
         self
     }
 
-    /// Skip measurement timers on *access* ports (generated metro-scale
-    /// scenes). Access ports carry no allocator, so their measurement
-    /// ticks exist only to record per-port series nobody reads at
-    /// 10^5–10^6 sessions; skipping them removes two timers per session
-    /// per interval. Trunk ports — where rate allocation happens — still
-    /// measure every interval. Default off: the standard figures keep
-    /// their historical event streams byte-identical.
-    pub fn lean_access(mut self, on: bool) -> Self {
-        self.lean_access = on;
+    /// Lean mode for generated metro-scale scenes: keep per-session
+    /// observability state only where a reader exists.
+    ///
+    /// * Only the destinations of the `traced` sessions (the ones the
+    ///   standard panels read) keep a cell-delay histogram; at 10^5
+    ///   sessions the others' histograms would be a third of the heap.
+    /// * Access ports get no measurement timers. They carry no allocator
+    ///   and record no series, so their ticks would do nothing but
+    ///   schedule themselves; skipping them removes two timers per
+    ///   session per interval.
+    ///
+    /// Trunk ports — where rate allocation happens — still measure every
+    /// interval. Default off: the standard figures keep every delay
+    /// histogram and their historical event streams.
+    pub fn lean_access(mut self, traced: &[SessionId]) -> Self {
+        self.lean = Some(traced.to_vec());
         self
     }
 
@@ -299,12 +309,13 @@ impl NetworkBuilder {
                     engine.add_node(CbrSource::new(vc, rate, traffic, first, spec.access_prop))
                 }
             };
-            let dest = engine.add_node(AbrDest::new(
-                vc,
-                last,
-                spec.access_prop,
-                self.rate_sample_interval,
-            ));
+            let mut dest = AbrDest::new(vc, last, spec.access_prop, self.rate_sample_interval);
+            if let Some(traced) = &self.lean {
+                if !traced.contains(&SessionId(i)) {
+                    dest = dest.without_delay_hist();
+                }
+            }
+            let dest = engine.add_node(dest);
             sessions.push(SessionHandle {
                 vc,
                 source,
@@ -313,7 +324,8 @@ impl NetworkBuilder {
             });
         }
 
-        // 3. Trunk ports (one per direction, each with its own allocator).
+        // 3. Trunk ports (one per direction, each with its own allocator
+        // and the series the `trunk_*` readers return).
         let mut trunk_handles = Vec::new();
         for t in &self.trunks {
             let mut mk = |to: NodeId| {
@@ -325,6 +337,7 @@ impl NetworkBuilder {
                     alloc(),
                     self.measure_interval,
                 );
+                p.record_series();
                 if t.loss_prob > 0.0 {
                     p.set_loss_prob(t.loss_prob);
                 }
@@ -406,12 +419,12 @@ impl NetworkBuilder {
             }
         }
 
-        // 5. Kick off timers. With `lean_access`, access ports (every
-        // port index at or past the trunk count) get no measurement
-        // timer at all — `Port::measure` self-reschedules, so omitting
-        // the initial kick silences the port for the whole run.
+        // 5. Kick off timers. In lean mode, access ports (every port
+        // index at or past the trunk count) get no measurement timer at
+        // all — `Port::measure` self-reschedules, so omitting the initial
+        // kick silences the port for the whole run.
         for (si, &sw) in switch_ids.iter().enumerate() {
-            let nports = if self.lean_access {
+            let nports = if self.lean.is_some() {
                 trunk_port_count[si]
             } else {
                 engine.node::<Switch>(sw).port_count()
@@ -565,31 +578,26 @@ impl Network {
             .unwrap_or("?")
     }
 
+    /// The traces of trunk `t`'s a→b port (every trunk port records them).
+    fn trunk_series<'e>(&self, engine: &'e Engine<AtmMsg>, t: TrunkIdx) -> &'e PortSeries {
+        self.trunk_port(engine, t)
+            .series()
+            .expect("the builder records series on every trunk port")
+    }
+
     /// MACR (fair-share) trace of trunk `t`'s a→b port.
     pub fn trunk_macr<'e>(&self, engine: &'e Engine<AtmMsg>, t: TrunkIdx) -> &'e TimeSeries {
-        let th = &self.trunks[t.0];
-        &engine
-            .node::<Switch>(th.a_switch)
-            .port(th.a_port)
-            .macr_series
+        &self.trunk_series(engine, t).macr
     }
 
     /// Queue-length trace of trunk `t`'s a→b port.
     pub fn trunk_queue<'e>(&self, engine: &'e Engine<AtmMsg>, t: TrunkIdx) -> &'e TimeSeries {
-        let th = &self.trunks[t.0];
-        &engine
-            .node::<Switch>(th.a_switch)
-            .port(th.a_port)
-            .queue_series
+        &self.trunk_series(engine, t).queue
     }
 
     /// Throughput trace (cells/s) of trunk `t`'s a→b port.
     pub fn trunk_throughput<'e>(&self, engine: &'e Engine<AtmMsg>, t: TrunkIdx) -> &'e TimeSeries {
-        let th = &self.trunks[t.0];
-        &engine
-            .node::<Switch>(th.a_switch)
-            .port(th.a_port)
-            .throughput_series
+        &self.trunk_series(engine, t).throughput
     }
 
     /// The a→b port of trunk `t` itself.

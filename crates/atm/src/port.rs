@@ -3,7 +3,9 @@
 //!
 //! The port is where everything the paper plots lives: the queue-length
 //! trace, the MACR trace (the allocator's fair-share estimate) and the
-//! utilization counters.
+//! utilization counters. The traces and metric handles live in a boxed
+//! [`PortSeries`] that only observed ports carry (the builder gives one to
+//! every trunk port); an access port keeps the hot fields alone.
 
 use crate::allocator::{PortMeasurement, RateAllocator};
 use crate::cell::{Cell, CellKind, ServiceClass};
@@ -11,7 +13,7 @@ use crate::msg::{AtmMsg, Timer};
 use crate::units::cell_time;
 use phantom_metrics::registry::{CounterHandle, GaugeHandle, Registry};
 use phantom_sim::probe::{self, DropReason, ProbeEvent};
-use phantom_sim::stats::{TimeSeries, TimeWeighted};
+use phantom_sim::stats::TimeSeries;
 use phantom_sim::{telemetry, BoundedFifo, Ctx, NodeId, SimDuration};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -43,11 +45,31 @@ struct PortMetrics {
     throughput: GaugeHandle,
 }
 
+/// The per-interval traces of an observed port, and its metric handles
+/// once bound. Boxed so unobserved ports pay one pointer for them.
+#[derive(Default)]
+pub struct PortSeries {
+    /// Fair-share (MACR) samples, one per measurement interval.
+    pub macr: TimeSeries,
+    /// Queue-length samples, one per measurement interval.
+    pub queue: TimeSeries,
+    /// Departure-rate samples (cells/s), one per measurement interval —
+    /// the utilization trace.
+    pub throughput: TimeSeries,
+    metrics: Option<PortMetrics>,
+}
+
+impl PortSeries {
+    fn heap_bytes(&self) -> usize {
+        self.macr.heap_bytes() + self.queue.heap_bytes() + self.throughput.heap_bytes()
+    }
+}
+
 /// One output port of a switch.
 pub struct Port {
     queue: BoundedFifo<Cell>,
     /// High-priority queue for CBR-class cells (None = single FIFO).
-    high: Option<BoundedFifo<Cell>>,
+    high: Option<Box<BoundedFifo<Cell>>>,
     link_to: NodeId,
     prop: SimDuration,
     capacity: f64,
@@ -63,22 +85,15 @@ pub struct Port {
     loss_prob: f64,
     /// Cells lost to injected link errors.
     pub wire_losses: u64,
-    /// Time-weighted queue occupancy (exact).
-    pub queue_tw: TimeWeighted,
-    /// Fair-share (MACR) samples, one per measurement interval.
-    pub macr_series: TimeSeries,
-    /// Queue-length samples, one per measurement interval.
-    pub queue_series: TimeSeries,
-    /// Departure-rate samples (cells/s), one per measurement interval —
-    /// the utilization trace.
-    pub throughput_series: TimeSeries,
-    metrics: Option<PortMetrics>,
+    /// Traces and metric handles; `None` on a port nobody observes.
+    series: Option<Box<PortSeries>>,
 }
 
 impl Port {
     /// A port transmitting to `link_to` at `capacity` cells/s with
     /// propagation delay `prop`, queue bound `queue_cap` cells, running
-    /// `allocator` every `measure_interval`.
+    /// `allocator` every `measure_interval`. It records no series until
+    /// [`Port::record_series`] or [`Port::bind_metrics`] asks for them.
     pub fn new(
         link_to: NodeId,
         capacity: f64,
@@ -102,20 +117,42 @@ impl Port {
             departures: 0,
             loss_prob: 0.0,
             wire_losses: 0,
-            queue_tw: TimeWeighted::new(),
-            macr_series: TimeSeries::new(),
-            queue_series: TimeSeries::new(),
-            throughput_series: TimeSeries::new(),
-            metrics: None,
+            series: None,
         }
     }
 
+    /// Record the per-interval MACR, queue and throughput series from
+    /// now on (a no-op if the port already records them).
+    pub fn record_series(&mut self) {
+        self.series.get_or_insert_with(Box::default);
+    }
+
+    /// This port's traces, if it records them.
+    pub fn series(&self) -> Option<&PortSeries> {
+        self.series.as_deref()
+    }
+
+    /// Heap bytes this port owns: queue buffers, the boxed priority
+    /// queue, the allocator and the traces.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.queue.heap_bytes()
+            + self
+                .high
+                .as_ref()
+                .map_or(0, |h| std::mem::size_of_val(&**h) + h.heap_bytes())
+            + std::mem::size_of_val(&*self.allocator)
+            + self
+                .series
+                .as_ref()
+                .map_or(0, |s| std::mem::size_of_val(&**s) + s.heap_bytes())
+    }
+
     /// Register this port's counters and gauges into `registry`, labelled
-    /// `link=<label>`. Call once at build time; unbound ports skip all
-    /// metric updates.
+    /// `link=<label>`, and record its series. Call once at build time;
+    /// unbound ports skip all metric updates.
     pub fn bind_metrics(&mut self, registry: &Registry, label: &str) {
         let l: &[(&str, &str)] = &[("link", label)];
-        self.metrics = Some(PortMetrics {
+        self.series.get_or_insert_with(Box::default).metrics = Some(PortMetrics {
             tx_cells: registry.counter("atm_tx_cells_total", l),
             dropped_cells: registry.counter("atm_dropped_cells_total", l),
             queue_cells: registry.gauge("atm_queue_cells", l),
@@ -128,7 +165,7 @@ impl Port {
     /// (capacity `cap` cells). Real switches isolate reserved traffic
     /// from ABR queueing this way.
     pub fn enable_cbr_priority(&mut self, cap: usize) {
-        self.high = Some(BoundedFifo::new(cap));
+        self.high = Some(Box::new(BoundedFifo::new(cap)));
     }
 
     /// Inject link-level loss: each departing cell is dropped with
@@ -207,7 +244,6 @@ impl Port {
             _ => self.queue.push(cell),
         };
         if accepted == phantom_sim::fifo::EnqueueResult::Accepted {
-            self.queue_tw.set(ctx.now(), self.queue_len() as f64);
             ctx.emit(|| ProbeEvent::Enqueue {
                 port: me as u32,
                 qlen: self.queue_len() as u32,
@@ -217,7 +253,7 @@ impl Port {
                 ctx.send_self(self.cell_time, AtmMsg::Timer(Timer::TxDone { port: me }));
             }
         } else {
-            if let Some(m) = &self.metrics {
+            if let Some(m) = self.metrics() {
                 m.dropped_cells.inc();
             }
             ctx.emit(|| ProbeEvent::Drop {
@@ -236,9 +272,9 @@ impl Port {
     /// measurement or control action can observe or perturb this port.
     /// Every cell whose departure instant falls strictly inside that quiet
     /// window — narrowed by the arrivals this batch itself schedules — is
-    /// transmitted in this dispatch, with probes, the time-weighted queue
-    /// gauge and the RNG loss draws stamped at the exact per-cell departure
-    /// times the one-cell-per-`TxDone` code produced. Traces, telemetry
+    /// transmitted in this dispatch, with probes and the RNG loss draws
+    /// stamped at the exact per-cell departure times the
+    /// one-cell-per-`TxDone` code produced. Traces, telemetry
     /// and series are byte-identical with batching on or off; only the
     /// number of engine round-trips changes (reported via
     /// [`Ctx::note_coalesced`] so event counts stay comparable).
@@ -256,8 +292,7 @@ impl Port {
             .expect("TxDone fired with an empty queue");
             sent += 1;
             self.departures += 1;
-            self.queue_tw.set(depart, self.queue_len() as f64);
-            if let Some(m) = &self.metrics {
+            if let Some(m) = self.metrics() {
                 m.tx_cells.inc();
             }
             probe::emit(depart, ctx.self_id(), || ProbeEvent::Dequeue {
@@ -271,7 +306,7 @@ impl Port {
             if lost {
                 self.wire_losses += 1;
                 telemetry::note_drop();
-                if let Some(m) = &self.metrics {
+                if let Some(m) = self.metrics() {
                     m.dropped_cells.inc();
                 }
                 probe::emit(depart, ctx.self_id(), || ProbeEvent::Drop {
@@ -316,14 +351,17 @@ impl Port {
         };
         self.allocator.on_interval(&m);
         let fair_share = self.allocator.fair_share();
-        self.macr_series.push(ctx.now(), fair_share);
-        self.queue_series.push(ctx.now(), self.queue_len() as f64);
-        self.throughput_series.push(ctx.now(), m.departure_rate());
-        if let Some(h) = &self.metrics {
-            h.queue_cells.set(ctx.now(), self.queue_len() as f64);
-            h.throughput.set(ctx.now(), m.departure_rate());
-            if fair_share.is_finite() {
-                h.macr.set(ctx.now(), fair_share);
+        let qlen = self.queue_len() as f64;
+        if let Some(s) = &mut self.series {
+            s.macr.push(ctx.now(), fair_share);
+            s.queue.push(ctx.now(), qlen);
+            s.throughput.push(ctx.now(), m.departure_rate());
+            if let Some(h) = &s.metrics {
+                h.queue_cells.set(ctx.now(), qlen);
+                h.throughput.set(ctx.now(), m.departure_rate());
+                if fair_share.is_finite() {
+                    h.macr.set(ctx.now(), fair_share);
+                }
             }
         }
         if fair_share.is_finite() {
@@ -360,6 +398,10 @@ impl Port {
         self.allocator.forward_rm(vc, rm, q);
     }
 
+    fn metrics(&self) -> Option<&PortMetrics> {
+        self.series.as_ref().and_then(|s| s.metrics.as_ref())
+    }
+
     /// The measurement interval this port was built with.
     pub fn measure_interval(&self) -> SimDuration {
         self.measure_interval
@@ -369,7 +411,8 @@ impl Port {
     /// configuration (link target, propagation delay, queue bounds,
     /// measurement interval) is not written — it comes back when the
     /// scenario is rebuilt. Capacity and loss probability *are* written:
-    /// scene timelines mutate them mid-run.
+    /// scene timelines mutate them mid-run. The `macr`/`qs`/`tp` scopes
+    /// are written only by a port that records series.
     pub fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
         w.scope("q", |w| self.queue.save(w, Cell::encode_str));
         if let Some(high) = &self.high {
@@ -381,10 +424,11 @@ impl Port {
         w.u64("arrivals", self.arrivals);
         w.u64("departures", self.departures);
         w.u64("wire_losses", self.wire_losses);
-        w.scope("tw", |w| self.queue_tw.save(w));
-        w.scope("macr", |w| self.macr_series.save(w));
-        w.scope("qs", |w| self.queue_series.save(w));
-        w.scope("tp", |w| self.throughput_series.save(w));
+        if let Some(s) = &self.series {
+            w.scope("macr", |w| s.macr.save(w));
+            w.scope("qs", |w| s.queue.save(w));
+            w.scope("tp", |w| s.throughput.save(w));
+        }
         let mut alloc = Ok(());
         w.scope("alloc", |w| alloc = self.allocator.save_state(w));
         alloc
@@ -393,7 +437,9 @@ impl Port {
     /// Overwrite the port's evolving state from a [`Port::save_state`]
     /// record. The port must have been rebuilt with the original static
     /// configuration (including CBR priority, which decides whether the
-    /// high queue exists).
+    /// high queue exists, and whether it records series). Keys for state
+    /// this port does not hold — the `tw` scope of older checkpoints, or
+    /// series scopes on an unobserved port — are ignored.
     pub fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
         r.scope("q", |r| self.queue.restore(r, Cell::decode_str))?;
         if let Some(high) = &mut self.high {
@@ -406,10 +452,11 @@ impl Port {
         self.arrivals = r.u64("arrivals")?;
         self.departures = r.u64("departures")?;
         self.wire_losses = r.u64("wire_losses")?;
-        r.scope("tw", |r| self.queue_tw.restore(r))?;
-        r.scope("macr", |r| self.macr_series.restore(r))?;
-        r.scope("qs", |r| self.queue_series.restore(r))?;
-        r.scope("tp", |r| self.throughput_series.restore(r))?;
+        if let Some(s) = &mut self.series {
+            r.scope("macr", |r| s.macr.restore(r))?;
+            r.scope("qs", |r| s.queue.restore(r))?;
+            r.scope("tp", |r| s.throughput.restore(r))?;
+        }
         r.scope("alloc", |r| self.allocator.restore_state(r))
     }
 }

@@ -197,6 +197,10 @@ impl Node<AtmMsg> for AbrSource {
         }
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.acr_series.heap_bytes()
+    }
+
     fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
         // Params, vc, next hop, prop and the sampling stride are static.
         w.scope("gate", |w| self.gate.save_state(w));

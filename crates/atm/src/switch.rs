@@ -149,6 +149,13 @@ impl Node<AtmMsg> for Switch {
         }
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.name.capacity()
+            + self.ports.capacity() * std::mem::size_of::<Port>()
+            + self.ports.iter().map(Port::heap_bytes).sum::<usize>()
+            + self.routes.capacity() * std::mem::size_of::<Option<VcRoute>>()
+    }
+
     fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
         // Routes, name and the route base are topology: rebuilt, not saved.
         w.u64("ports", self.ports.len() as u64);

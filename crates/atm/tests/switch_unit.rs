@@ -65,14 +65,16 @@ fn build(
     let fwd_sink = engine.add_node(Collector::default());
     let bwd_sink = engine.add_node(Collector::default());
     let mut sw = Switch::new("sw");
-    let fwd_port = sw.add_port(Port::new(
+    let mut fwd = Port::new(
         fwd_sink,
         100_000.0, // cells/s -> 10 us per cell
         SimDuration::from_micros(5),
         64,
         alloc,
         SimDuration::from_millis(1),
-    ));
+    );
+    fwd.record_series();
+    let fwd_port = sw.add_port(fwd);
     let bwd_port = sw.add_port(Port::new(
         bwd_sink,
         100_000.0,
@@ -173,7 +175,12 @@ fn measurement_timer_reschedules_itself() {
         AtmMsg::Timer(Timer::Measure { port: 0 }),
     );
     engine.run_until(SimTime::from_millis(10));
-    let series = &engine.node::<Switch>(sw).port(0).macr_series;
+    let series = &engine
+        .node::<Switch>(sw)
+        .port(0)
+        .series()
+        .expect("the forward port records series")
+        .macr;
     assert!(
         (9..=11).contains(&series.len()),
         "expected ~10 interval samples, got {}",
@@ -223,4 +230,16 @@ fn destination_echoes_efci_into_backward_ci() {
         !got[1].1.as_rm().unwrap().ci,
         "the echo clears after one RM"
     );
+}
+
+/// Metro scale holds 200,000 ports and 100,000 destinations, so their
+/// inline sizes are per-session memory. Bounds at the sizes the boxed
+/// series, priority queue and delay histogram landed at (464 and 184
+/// bytes before).
+#[test]
+fn port_and_destination_stay_small() {
+    let port = std::mem::size_of::<Port>();
+    let dest = std::mem::size_of::<phantom_atm::dest::AbrDest>();
+    assert!(port <= 184, "Port is {port} bytes");
+    assert!(dest <= 120, "AbrDest is {dest} bytes");
 }

@@ -540,7 +540,7 @@ fn main() -> ExitCode {
                     record.queue_peak
                 );
                 let mb = |b: u64| b as f64 / 1e6;
-                let counted = record.arena_bytes + record.calendar_bytes;
+                let counted = record.arena_bytes + record.node_heap_bytes + record.calendar_bytes;
                 let (rss, remainder) = match record.rss_delta_bytes {
                     Some(b) => (
                         format!("rss +{:.1} MB", mb(b)),
@@ -555,9 +555,10 @@ fn main() -> ExitCode {
                     }
                 };
                 println!(
-                    "[scale: {}: arenas {:.1} MB, calendar {:.1} MB, remainder {} — {:.0} bytes/session, {:.0} sessions/GB]",
+                    "[scale: {}: arenas {:.1} MB, node heap {:.1} MB, calendar {:.1} MB, remainder {} — {:.0} bytes/session, {:.0} sessions/GB]",
                     rss,
                     mb(record.arena_bytes),
+                    mb(record.node_heap_bytes),
                     mb(record.calendar_bytes),
                     remainder,
                     record.bytes_per_session(),
@@ -565,10 +566,11 @@ fn main() -> ExitCode {
                 );
                 for a in &arenas {
                     println!(
-                        "   [arena {}: {} nodes, {:.1} MB]",
+                        "   [arena {}: {} nodes, {:.1} MB, node heap {:.1} MB]",
                         a.type_name,
                         a.nodes,
-                        a.bytes as f64 / 1e6
+                        a.bytes as f64 / 1e6,
+                        a.heap_bytes as f64 / 1e6
                     );
                 }
                 bench.scale = Some(record);

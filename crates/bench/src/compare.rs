@@ -508,21 +508,25 @@ mod tests {
             rss_delta_bytes: Some(rss),
             arena_bytes: 40_000_000,
             calendar_bytes: 10_000_000,
+            node_heap_bytes: 20_000_000,
             drops: 0,
             queue_peak: 100,
         }
     }
 
     #[test]
-    fn committed_baseline_without_calendar_bytes_parses() {
-        // `calendar_bytes` is additive: a record from before it existed
-        // must still parse, scale probe included. Dropping the field from
-        // the committed record gives one.
-        let text = include_str!("../../../BENCH_phantom.json");
-        let at = text.find("\"calendar_bytes\": ").expect("committed field");
-        let end = at + text[at..].find(", ").expect("a field follows") + 2;
-        let old = format!("{}{}", &text[..at], &text[end..]);
-        assert!(!old.contains("calendar_bytes"));
+    fn committed_baseline_without_additive_scale_fields_parses() {
+        // `calendar_bytes` and `node_heap_bytes` are additive: a record
+        // from before they existed must still parse, scale probe
+        // included. Dropping the fields from the committed record gives
+        // one.
+        let mut old = include_str!("../../../BENCH_phantom.json").to_string();
+        for key in ["\"calendar_bytes\": ", "\"node_heap_bytes\": "] {
+            let Some(at) = old.find(key) else { continue };
+            let end = at + old[at..].find(", ").expect("a field follows") + 2;
+            old.replace_range(at..end, "");
+        }
+        assert!(!old.contains("calendar_bytes") && !old.contains("node_heap_bytes"));
         let base = parse_bench_json(&old).expect("committed baseline parses");
         let scale = base.scale.expect("committed baseline has a scale probe");
         assert_eq!(scale.scene, "metro-100k");

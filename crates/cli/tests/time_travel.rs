@@ -44,6 +44,22 @@ fn assert_resume_contract(
     resume_shards: usize,
 ) {
     let (scene, source) = load_scene(file);
+    assert_resume_contract_on(&scene, &source, every, ckpt_shards, resume_shards, |t| {
+        t.to_string()
+    });
+}
+
+/// [`assert_resume_contract`] for a scene given as text, resuming from
+/// the mid-run checkpoint as `rewrite` edits it.
+fn assert_resume_contract_on(
+    scene: &Scene,
+    source: &str,
+    every: CheckpointEvery,
+    ckpt_shards: usize,
+    resume_shards: usize,
+    rewrite: impl Fn(&str) -> String,
+) {
+    let file = &scene.id;
     let seed = 1996;
     let dir = tmp(&format!("{}-s{ckpt_shards}-s{resume_shards}", scene.id));
     let window = phantom_analyze::DEFAULT_WINDOW_SECS;
@@ -51,7 +67,7 @@ fn assert_resume_contract(
     // Uninterrupted reference run, traced + live-analyzed.
     let full_trace = dir.join("full.jsonl");
     let plain = run_scene_opts(
-        &scene,
+        scene,
         seed,
         Some(window),
         &RunOptions {
@@ -68,14 +84,14 @@ fn assert_resume_contract(
     let ck_trace = dir.join("checkpointed.jsonl");
     let ck_dir = dir.join("ckpts");
     let checkpointed = run_scene_opts(
-        &scene,
+        scene,
         seed,
         None,
         &RunOptions {
             trace: Some(ck_trace.clone()),
             checkpoint_every: Some(every),
             checkpoint_dir: Some(ck_dir.clone()),
-            checkpoint_source: source.clone(),
+            checkpoint_source: source.to_string(),
             shards: ckpt_shards,
             ..RunOptions::default()
         },
@@ -104,7 +120,9 @@ fn assert_resume_contract(
 
     // Resume from a mid-run checkpoint; the suffix must stitch onto the
     // uninterrupted prefix byte-for-byte.
-    let mid = &ckpts[ckpts.len() / 2];
+    let mid = &dir.join("resume-from.jsonl");
+    let text = std::fs::read_to_string(&ckpts[ckpts.len() / 2]).unwrap();
+    std::fs::write(mid, rewrite(&text)).unwrap();
     let doc = phantom_cli::read_checkpoint(mid).unwrap();
     assert!(doc.trace_offset > 0 && (doc.trace_offset as usize) < full_bytes.len());
     let suffix = dir.join("suffix.jsonl");
@@ -133,7 +151,7 @@ fn assert_resume_contract(
     // Re-analyzing the stitched trace reproduces the live analysis.
     let stitched_analysis = phantom_analyze::analyze_trace_str(
         std::str::from_utf8(&stitched).unwrap(),
-        analysis_targets(&scene),
+        analysis_targets(scene),
         window,
     )
     .unwrap();
@@ -256,6 +274,105 @@ fn resume_contract_metro_chain_10k() {
         0,
         0,
     );
+}
+
+/// A generated (lean) fan-in: only the traced destinations hold a delay
+/// histogram, and access ports record no series.
+const LEAN_FAN_IN: &str = r#"{
+  "schema": "phantom-scene/1",
+  "id": "lean-fan-in",
+  "describe": "small generated fan-in",
+  "algorithm": "phantom",
+  "duration_ms": 20,
+  "generate": {
+    "kind": "fan_in",
+    "seed": 7,
+    "leaves": 2,
+    "sessions_per_leaf": 5,
+    "leaf_mbps": 155.0,
+    "root_mbps": 622.0,
+    "prop_us": 10.0,
+    "start_spread_ms": 5.0,
+    "rate_sample_ms": 5.0,
+    "acr_stride": 4,
+    "icr_mbps": 0.5
+  },
+  "analysis": { "n_sessions": 10 }
+}"#;
+
+/// Adds to a checkpoint the state keys that builds before lean
+/// observability wrote and this one no longer does: a `tw` scope on
+/// every switch port, `macr`/`qs`/`tp` scopes on ports without series,
+/// and a `delay_hist` scope on destinations without a histogram.
+/// Returns the text and the number of each kind of key group added.
+fn with_retired_keys(text: &str) -> (String, [usize; 3]) {
+    let mut added = [0; 3];
+    let mut out = String::new();
+    for line in text.lines() {
+        let is = |ty: &str| line.contains(&format!("\"type\":\"{ty}\""));
+        let mut extra = Vec::new();
+        if is("phantom_atm::switch::Switch") {
+            let ports: usize = line
+                .split(['"', ' '])
+                .find_map(|t| t.strip_prefix("ports="))
+                .expect("a switch record counts its ports")
+                .parse()
+                .unwrap();
+            for i in 0..ports {
+                extra.push(format!(
+                    "p{i}.tw.last_t=1000 p{i}.tw.last_v=2 p{i}.tw.integral=0.5 \
+                     p{i}.tw.max=3 p{i}.tw.started=1"
+                ));
+                added[0] += 1;
+                if !line.contains(&format!("p{i}.macr.times=")) {
+                    for s in ["macr", "qs", "tp"] {
+                        extra.push(format!("p{i}.{s}.times=0.001 p{i}.{s}.values=7"));
+                    }
+                    added[1] += 1;
+                }
+            }
+        } else if is("phantom_atm::dest::AbrDest") && !line.contains("delay_hist.") {
+            extra.push(
+                "delay_hist.bins=0,2 delay_hist.overflow=0 delay_hist.count=2 \
+                 delay_hist.sum=0.3 delay_hist.max=0.15"
+                    .to_string(),
+            );
+            added[2] += 1;
+        }
+        match line.strip_suffix("\"}") {
+            Some(head) if !extra.is_empty() => {
+                out.push_str(&format!("{head} {}\"}}\n", extra.join(" ")));
+            }
+            _ => {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+    (out, added)
+}
+
+/// `phantom-checkpoint/2` files written before lean observability carry
+/// state this build no longer holds; they still resume, and the resumed
+/// trace stitches byte-identically.
+#[test]
+fn resume_contract_ignores_retired_state_keys() {
+    let scene = parse_scene(LEAN_FAN_IN).unwrap();
+    let counts = std::cell::Cell::new([0; 3]);
+    assert_resume_contract_on(
+        &scene,
+        LEAN_FAN_IN,
+        CheckpointEvery::SimSecs(0.005),
+        0,
+        0,
+        |t| {
+            let (text, added) = with_retired_keys(t);
+            counts.set(added);
+            text
+        },
+    );
+    // 6 trunk ports and 20 access ports; 10 destinations, 3 traced.
+    assert_eq!(counts.get(), [26, 20, 7]);
 }
 
 /// The ordering keys do not depend on the shard count, so a checkpoint

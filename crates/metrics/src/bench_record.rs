@@ -80,6 +80,10 @@ pub struct ScaleRecord {
     /// Heap bytes held by the event calendar after the run
     /// (`Engine::calendar_bytes`).
     pub calendar_bytes: u64,
+    /// Heap the nodes own beyond their arena slots after the run: queue
+    /// buffers, recorded series, histograms, route tables (the sum of
+    /// `ArenaStats::heap_bytes`).
+    pub node_heap_bytes: u64,
     /// Cells/packets dropped during the probe run.
     pub drops: u64,
     /// Deepest queue observed during the probe run, in items.
@@ -124,7 +128,7 @@ impl ScaleRecord {
     /// Render as a single-line JSON object (the `scale` value).
     pub fn to_json_line(&self) -> String {
         format!(
-            "{{\"scene\": {}, \"seed\": {}, \"sessions\": {}, \"nodes\": {}, \"events\": {}, \"wall_secs\": {}, \"events_per_sec\": {}, \"rss_delta_bytes\": {}, \"arena_bytes\": {}, \"calendar_bytes\": {}, \"bytes_per_session\": {}, \"sessions_per_gb\": {}, \"drops\": {}, \"queue_peak\": {}}}",
+            "{{\"scene\": {}, \"seed\": {}, \"sessions\": {}, \"nodes\": {}, \"events\": {}, \"wall_secs\": {}, \"events_per_sec\": {}, \"rss_delta_bytes\": {}, \"arena_bytes\": {}, \"calendar_bytes\": {}, \"node_heap_bytes\": {}, \"bytes_per_session\": {}, \"sessions_per_gb\": {}, \"drops\": {}, \"queue_peak\": {}}}",
             json_str(&self.scene),
             self.seed,
             self.sessions,
@@ -138,6 +142,7 @@ impl ScaleRecord {
             },
             self.arena_bytes,
             self.calendar_bytes,
+            self.node_heap_bytes,
             json_f64(self.bytes_per_session()),
             json_f64(self.sessions_per_gb()),
             self.drops,
@@ -358,6 +363,7 @@ mod tests {
             rss_delta_bytes: Some(2_000_000_000),
             arena_bytes: 50_000_000,
             calendar_bytes: 30_000_000,
+            node_heap_bytes: 50_000_000,
             drops: 123,
             queue_peak: 16_384,
         }
@@ -427,6 +433,7 @@ mod tests {
         assert!(line.contains("\"bytes_per_session\": 20000"));
         assert!(line.contains("\"sessions_per_gb\": 50000"));
         assert!(line.contains("\"calendar_bytes\": 30000000"));
+        assert!(line.contains("\"node_heap_bytes\": 50000000"));
         assert!(line.contains("\"queue_peak\": 16384"));
 
         let mut rec = sample();

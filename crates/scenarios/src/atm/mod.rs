@@ -96,9 +96,9 @@ pub(crate) fn collect_standard(
     // queueing along the path).
     if let Some(&s) = traced_sessions.first() {
         let dest = engine.node::<phantom_atm::dest::AbrDest>(net.sessions[s.0].dest);
-        if dest.delay_hist.count() > 0 {
-            result.add_metric("cell_delay_mean_ms", dest.delay_hist.mean());
-            result.add_metric("cell_delay_p99_ms", dest.delay_hist.quantile(0.99));
+        if let Some(h) = dest.delay_hist.as_deref().filter(|h| h.count() > 0) {
+            result.add_metric("cell_delay_mean_ms", h.mean());
+            result.add_metric("cell_delay_p99_ms", h.quantile(0.99));
         }
     }
 }

@@ -155,15 +155,19 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Lower a generated ("metro") topology: drive the builder directly,
-/// leaning out per-session observability (no access-port measurement
-/// timers, strided ACR samples, coarse goodput sampling) so memory per
-/// session stays flat at 10^5–10^6 sessions. Only a 3-session sample
-/// (first/middle/last) is traced in the standard panels.
+/// leaning out per-session observability (delay histograms only on the
+/// traced sessions, no access-port measurement timers, strided ACR
+/// samples, coarse goodput sampling) so memory per session stays flat at
+/// 10^5–10^6 sessions. Only a 3-session sample (first/middle/last) is
+/// traced in the standard panels.
 fn compile_generated(scene: &Scene, g: &GenerateDecl, seed: u64) -> CompiledScene {
     let alg = algorithm(&scene.algorithm);
+    let n = g.n_sessions();
+    let mut traced = vec![SessionId(0), SessionId(n / 2), SessionId(n - 1)];
+    traced.dedup();
     let mut b = NetworkBuilder::new()
         .cbr_priority(scene.cbr_priority)
-        .lean_access(true)
+        .lean_access(&traced)
         .acr_sample_stride(g.acr_stride)
         .rate_sample_interval(ms_to_dur(g.rate_sample_ms));
     if let Some(icr) = g.icr_mbps {
@@ -236,15 +240,12 @@ fn compile_generated(scene: &Scene, g: &GenerateDecl, seed: u64) -> CompiledScen
     };
     lower_link_timeline(scene, &net, &mut engine);
 
-    let n = g.n_sessions();
-    let mut sample = vec![0, n / 2, n - 1];
-    sample.dedup();
     CompiledScene {
         engine,
         net,
         until: ms_to_time(scene.duration_ms),
         bottleneck: TrunkIdx(scene.bottleneck),
-        traced: sample.into_iter().map(SessionId).collect(),
+        traced,
         tail_from_secs: scene
             .analysis
             .tail_from_ms

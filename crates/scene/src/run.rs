@@ -157,9 +157,10 @@ pub fn run_scene(scene: &Scene, seed: u64) -> ExperimentResult {
 }
 
 /// Build and run `scene` once as a *scale probe*: measure resident-set
-/// growth across build + run, the engine's own per-node and calendar
-/// accounting, and run throughput. Returns the `phantom-bench/5` scale
-/// record plus the per-arena breakdown (for human-readable reporting).
+/// growth across build + run, the engine's own per-node, node-heap and
+/// calendar accounting, and run throughput. Returns the
+/// `phantom-bench/5` scale record plus the per-arena breakdown (for
+/// human-readable reporting).
 ///
 /// RSS comes from [`phantom_sim::telemetry::rss_bytes`] (the same
 /// reader the heartbeat uses); when `/proc/self/status` is unreadable
@@ -196,6 +197,7 @@ pub fn scale_scene(scene: &Scene, seed: u64) -> (ScaleRecord, Vec<phantom_sim::A
         },
         arena_bytes: engine.nodes_footprint_bytes() as u64,
         calendar_bytes: engine.calendar_bytes() as u64,
+        node_heap_bytes: stats.iter().map(|s| s.heap_bytes as u64).sum(),
         drops: counters.drops,
         queue_peak: counters.queue_peak,
     };

@@ -91,6 +91,14 @@ pub trait Node<M>: Any + Send {
             std::any::type_name::<Self>()
         ))
     }
+
+    /// Heap bytes this node owns beyond its arena slot: queue buffers,
+    /// recorded series, boxed state. Counted by capacity, for
+    /// [`ArenaStats::heap_bytes`]. The default is right for node types
+    /// that own no heap.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 thread_local! {
@@ -322,10 +330,10 @@ trait NodeArena<M>: Sync {
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn len(&self) -> usize;
     fn type_name(&self) -> &'static str;
-    /// Bytes of arena-owned storage (capacity × node size). Heap blocks
-    /// owned by the nodes themselves (queues, series) are not visible
-    /// from here and are not counted.
+    /// Bytes of arena-owned storage (capacity × node size).
     fn bytes(&self) -> usize;
+    /// Sum of the nodes' own heap ([`Node::heap_bytes`]).
+    fn heap_bytes(&self) -> usize;
     fn save_node(&self, slot: u32, w: &mut KvWriter) -> Result<(), String>;
     fn restore_node(&mut self, slot: u32, r: &mut KvReader) -> Result<(), String>;
 }
@@ -361,6 +369,21 @@ impl<M: 'static, N: Node<M>> NodeArena<M> for TypedArena<N> {
         self.nodes.capacity() * size_of::<UnsafeCell<N>>()
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|n| {
+                #[allow(unsafe_code)]
+                // SAFETY: like `save_node`, this takes `&self` on the
+                // engine's driving thread while no shard workers are alive
+                // (they are joined before any run call returns), so the
+                // shared reads cannot race a dispatch.
+                let node = unsafe { &*n.get() };
+                node.heap_bytes()
+            })
+            .sum()
+    }
+
     fn save_node(&self, slot: u32, w: &mut KvWriter) -> Result<(), String> {
         #[allow(unsafe_code)]
         // SAFETY: `save_node` takes `&self` on the engine's single
@@ -385,6 +408,9 @@ pub struct ArenaStats {
     pub nodes: usize,
     /// Bytes of arena-owned storage (capacity × node size).
     pub bytes: usize,
+    /// Heap the nodes own beyond their slots (sum of
+    /// [`Node::heap_bytes`]).
+    pub heap_bytes: usize,
 }
 
 /// The simulation engine: owns nodes, the event calendar and the clock.
@@ -521,13 +547,15 @@ impl<M: 'static> Engine<M> {
                 type_name: a.type_name(),
                 nodes: a.len(),
                 bytes: a.bytes(),
+                heap_bytes: a.heap_bytes(),
             })
             .collect()
     }
 
     /// Bytes of engine-owned per-node storage: the typed arenas plus the
     /// id index and RNG streams. Node-internal heap blocks (queues,
-    /// recorded series) are owned by the nodes and not visible here.
+    /// recorded series) are owned by the nodes: see
+    /// [`ArenaStats::heap_bytes`].
     pub fn nodes_footprint_bytes(&self) -> usize {
         self.arenas.iter().map(|a| a.bytes()).sum::<usize>()
             + self.locs.capacity() * size_of::<Loc>()
@@ -1920,6 +1948,26 @@ mod tests {
         let stats = e.arena_stats();
         assert_eq!(stats.iter().map(|s| s.nodes).sum::<usize>(), 100);
         assert!(stats[0].type_name.contains("Collector"));
+    }
+
+    #[test]
+    fn arena_stats_sum_each_nodes_heap() {
+        struct Owns(Vec<u64>);
+        impl Node<u32> for Owns {
+            fn on_event(&mut self, _: &mut Ctx<'_, u32>, _: u32) {}
+            fn heap_bytes(&self) -> usize {
+                self.0.capacity() * std::mem::size_of::<u64>()
+            }
+        }
+        let mut e = Engine::<u32>::new(1);
+        let a = e.add_node(Owns(Vec::with_capacity(10)));
+        let b = e.add_node(Owns(Vec::with_capacity(30)));
+        e.add_node(Collector::default());
+        let want = e.node::<Owns>(a).heap_bytes() + e.node::<Owns>(b).heap_bytes();
+        assert!(want >= 40 * 8);
+        let stats = e.arena_stats();
+        assert_eq!(stats[0].heap_bytes, want);
+        assert_eq!(stats[1].heap_bytes, 0, "the default counts no heap");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::qdisc::{QueueDiscipline, RouterMeasurement, Verdict};
 use phantom_metrics::registry::{CounterHandle, GaugeHandle, Registry};
 use phantom_sim::fifo::EnqueueResult;
 use phantom_sim::probe::{DropReason, ProbeEvent};
-use phantom_sim::stats::{TimeSeries, TimeWeighted};
+use phantom_sim::stats::TimeSeries;
 use phantom_sim::{BoundedFifo, Ctx, Node, NodeId, SimDuration};
 
 /// Registry handles a router port updates when metrics are bound.
@@ -57,8 +57,6 @@ pub struct RPort {
     pub quenches_sent: u64,
     /// Packets marked (EFCI/ECN) by the discipline.
     pub marks: u64,
-    /// Time-weighted queue occupancy in packets.
-    pub queue_tw: TimeWeighted,
     /// Queue-length samples (packets), one per interval.
     pub queue_series: TimeSeries,
     /// Fair-share (MACR) samples, one per interval (NaN-free only for
@@ -96,7 +94,6 @@ impl RPort {
             policy_drops: 0,
             quenches_sent: 0,
             marks: 0,
-            queue_tw: TimeWeighted::new(),
             queue_series: TimeSeries::new(),
             macr_series: TimeSeries::new(),
             throughput_series: TimeSeries::new(),
@@ -175,7 +172,6 @@ impl RPort {
         match self.queue.push(pkt) {
             EnqueueResult::Accepted => {
                 self.queue_bytes += u64::from(wire);
-                self.queue_tw.set(ctx.now(), self.queue.len() as f64);
                 ctx.emit(|| ProbeEvent::Enqueue {
                     port: me as u32,
                     qlen: self.queue.len() as u32,
@@ -246,7 +242,6 @@ impl RPort {
         let pkt = self.queue.pop().expect("TxDone with empty queue");
         self.queue_bytes -= u64::from(pkt.wire);
         self.departure_bytes += u64::from(pkt.wire);
-        self.queue_tw.set(ctx.now(), self.queue.len() as f64);
         if let Some(m) = &self.metrics {
             m.tx_pkts.inc();
         }
@@ -322,7 +317,6 @@ impl RPort {
         w.u64("policy_drops", self.policy_drops);
         w.u64("quenches_sent", self.quenches_sent);
         w.u64("marks", self.marks);
-        w.scope("tw", |w| self.queue_tw.save(w));
         w.scope("qs", |w| self.queue_series.save(w));
         w.scope("macr", |w| self.macr_series.save(w));
         w.scope("tp", |w| self.throughput_series.save(w));
@@ -331,7 +325,8 @@ impl RPort {
         qdisc
     }
 
-    /// Restore state written by [`RPort::save_state`].
+    /// Restore state written by [`RPort::save_state`]. The `tw` scope of
+    /// older checkpoints is ignored.
     pub fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
         r.scope("q", |r| self.queue.restore(r, Packet::decode_str))?;
         self.queue_bytes = r.u64("queue_bytes")?;
@@ -344,7 +339,6 @@ impl RPort {
         self.policy_drops = r.u64("policy_drops")?;
         self.quenches_sent = r.u64("quenches_sent")?;
         self.marks = r.u64("marks")?;
-        r.scope("tw", |r| self.queue_tw.restore(r))?;
         r.scope("qs", |r| self.queue_series.restore(r))?;
         r.scope("macr", |r| self.macr_series.restore(r))?;
         r.scope("tp", |r| self.throughput_series.restore(r))?;
