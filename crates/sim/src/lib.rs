@@ -105,5 +105,5 @@ pub use shard::{set_shards, shards, ShardGuard, ShardHints};
 pub use snapshot::{
     EngineSnapshot, EventSnapshot, KvReader, KvWriter, NodeSnapshot, SnapshotMessage,
 };
-pub use stats::{Counter, Histogram, TimeSeries, TimeWeighted};
+pub use stats::{Counter, Histogram, TimeSeries};
 pub use time::{SimDuration, SimTime};

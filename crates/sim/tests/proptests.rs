@@ -3,7 +3,7 @@
 use phantom_sim::event::EventQueue;
 use phantom_sim::fifo::{BoundedFifo, EnqueueResult};
 use phantom_sim::rng::derive_seed;
-use phantom_sim::stats::{Histogram, TimeSeries, TimeWeighted};
+use phantom_sim::stats::{Histogram, TimeSeries};
 use phantom_sim::{Ctx, Engine, Node, NodeId, SimTime};
 use proptest::prelude::*;
 
@@ -79,26 +79,6 @@ proptest! {
         prop_assert_eq!(q.len(), model.len());
         prop_assert!(q.len() <= cap);
         prop_assert_eq!(q.arrivals(), q.departures() + q.drops() + q.len() as u64);
-    }
-
-    /// The time-weighted mean always lies within [min, max] of the
-    /// values the signal took (including the initial 0).
-    #[test]
-    fn time_weighted_mean_bounded(
-        vals in proptest::collection::vec(0.0f64..1000.0, 1..50),
-    ) {
-        let mut tw = TimeWeighted::new();
-        tw.set(SimTime::ZERO, 0.0);
-        let mut t = 0u64;
-        for &v in &vals {
-            t += 1_000_000; // 1 ms steps
-            tw.set(SimTime(t), v);
-        }
-        let end = SimTime(t + 1_000_000);
-        let mean = tw.mean_until(end);
-        let lo = vals.iter().copied().fold(0.0, f64::min);
-        let hi = vals.iter().copied().fold(0.0, f64::max);
-        prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9, "mean {mean} not in [{lo}, {hi}]");
     }
 
     /// Histogram quantiles are monotone in q and bounded by the max.
