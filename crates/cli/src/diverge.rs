@@ -12,10 +12,11 @@
 //! checkpoint (per-node field changes, pending-event changes) as a
 //! `phantom-diverge/1` report.
 
-use crate::checkpoint::{nearest_checkpoint, read_checkpoint, rebuild, Rebuilt};
+use crate::checkpoint::{nearest_checkpoint, read_checkpoint, scene_of};
 use phantom_analyze::jsonl::{parse_flat_object, Scalar};
 use phantom_metrics::json::{json_f64, json_str};
 use phantom_metrics::manifest::DIVERGE_SCHEMA;
+use phantom_scene::compile;
 use phantom_sim::{EngineSnapshot, SimTime};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -202,18 +203,10 @@ fn localize(
     // Replay run A's deterministic trajectory from the checkpoint to the
     // last instant strictly before the divergence.
     let replay_to = SimTime(t_ns.saturating_sub(1).max(before.now.0));
-    let after = match rebuild(&doc)? {
-        Rebuilt::Scene { mut engine, .. } => {
-            engine.restore(&before)?;
-            engine.run_until(replay_to);
-            engine.snapshot()?
-        }
-        Rebuilt::Topology { mut engine, .. } => {
-            engine.restore(&before)?;
-            engine.run_until(replay_to);
-            engine.snapshot()?
-        }
-    };
+    let mut engine = compile(&scene_of(&doc)?, doc.seed).engine;
+    engine.restore(&before)?;
+    engine.run_until(replay_to);
+    let after = engine.snapshot()?;
     let _ = writeln!(
         out,
         "{{\"record\":\"replay\",\"to_ns\":{},\"events_processed\":{}}}",

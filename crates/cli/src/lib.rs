@@ -1,10 +1,13 @@
-//! # phantom-cli — run Phantom experiments from a topology file
+//! # phantom-cli — run Phantom experiments from a scene or topology file
 //!
-//! A small line-oriented DSL describes switches, trunks and sessions;
-//! the CLI simulates the topology under any implemented flow-control
-//! algorithm, prints per-session rates and per-trunk statistics, and can
-//! also print the *analytic* phantom prediction (weighted max-min with
-//! one imaginary session per link) without simulating at all.
+//! Every input is a `phantom-scene/1` scene. A scene file is JSON; a
+//! topology file is a small line-oriented DSL that [`parse_str`] lowers
+//! to a validated scene plus the seed of its `run` line. Either way the
+//! CLI simulates the scene through the one `phantom_scene::RunPlan`
+//! pipeline — run, checkpoint, resume and diverge alike — prints
+//! per-session rates and per-trunk statistics, and can also print the
+//! *analytic* phantom prediction (weighted max-min with one imaginary
+//! session per link) without simulating at all.
 //!
 //! ```text
 //! # dumbbell.phantom — two greedy sessions over one OC-3
@@ -20,7 +23,7 @@
 //! ```sh
 //! phantom run dumbbell.phantom          # simulate, print the report
 //! phantom predict dumbbell.phantom     # closed-form fixed point only
-//! phantom check dumbbell.phantom       # parse + validate, no run
+//! phantom check scenes/fig2.json       # parse + validate, no run
 //! ```
 
 #![forbid(unsafe_code)]
@@ -30,15 +33,11 @@ pub mod checkpoint;
 pub mod diverge;
 pub mod exec;
 pub mod parse;
-pub mod scene;
-pub mod spec;
 
 pub use checkpoint::{nearest_checkpoint, read_checkpoint, resume, CheckpointDoc, ResumeOutcome};
 pub use diverge::{diverge, DivergeOptions, DivergeOutcome};
 pub use exec::{
-    compare_algorithms, predict, run_spec, run_spec_opts, sweep_u, CheckpointEvery, RunOptions,
-    RunReport,
+    collect_report, compare_algorithms, predict, run_scene_opts, sweep_u, CheckpointEvery,
+    RunOptions, RunReport, SceneReport,
 };
 pub use parse::{parse_str, ParseError};
-pub use scene::{run_scene_opts, SceneReport};
-pub use spec::{AlgorithmSpec, SessionSpec, TopologySpec};

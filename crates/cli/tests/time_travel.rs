@@ -6,7 +6,9 @@
 //! injected perturbation to its first differing event.
 
 use phantom_cli::exec::CheckpointEvery;
-use phantom_cli::{diverge, resume, run_scene_opts, DivergeOptions, DivergeOutcome, RunOptions};
+use phantom_cli::{
+    diverge, parse_str, resume, run_scene_opts, DivergeOptions, DivergeOutcome, RunOptions,
+};
 use phantom_scene::{analysis_targets, parse_scene, Scene};
 use std::path::{Path, PathBuf};
 
@@ -21,9 +23,9 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-fn load_scene(file: &str) -> (Scene, String) {
+fn load_scene(file: &str) -> Scene {
     let text = std::fs::read_to_string(scenes_dir().join(file)).unwrap();
-    (parse_scene(&text).unwrap(), text)
+    parse_scene(&text).unwrap()
 }
 
 /// The full resume contract for one scene:
@@ -43,24 +45,23 @@ fn assert_resume_contract(
     ckpt_shards: usize,
     resume_shards: usize,
 ) {
-    let (scene, source) = load_scene(file);
-    assert_resume_contract_on(&scene, &source, every, ckpt_shards, resume_shards, |t| {
+    let scene = load_scene(file);
+    assert_resume_contract_on(&scene, 1996, every, ckpt_shards, resume_shards, |t| {
         t.to_string()
     });
 }
 
-/// [`assert_resume_contract`] for a scene given as text, resuming from
-/// the mid-run checkpoint as `rewrite` edits it.
+/// [`assert_resume_contract`] for a scene run under `seed`, resuming
+/// from the mid-run checkpoint as `rewrite` edits it.
 fn assert_resume_contract_on(
     scene: &Scene,
-    source: &str,
+    seed: u64,
     every: CheckpointEvery,
     ckpt_shards: usize,
     resume_shards: usize,
     rewrite: impl Fn(&str) -> String,
 ) {
     let file = &scene.id;
-    let seed = 1996;
     let dir = tmp(&format!("{}-s{ckpt_shards}-s{resume_shards}", scene.id));
     let window = phantom_analyze::DEFAULT_WINDOW_SECS;
 
@@ -91,7 +92,6 @@ fn assert_resume_contract_on(
             trace: Some(ck_trace.clone()),
             checkpoint_every: Some(every),
             checkpoint_dir: Some(ck_dir.clone()),
-            checkpoint_source: source.to_string(),
             shards: ckpt_shards,
             ..RunOptions::default()
         },
@@ -194,7 +194,7 @@ fn resume_contract_churn() {
 /// resume.
 #[test]
 fn concurrent_resumes_match_serial() {
-    let (scene, source) = load_scene("churn.json");
+    let scene = load_scene("churn.json");
     let dir = tmp("jobs");
     let ck_dir = dir.join("ckpts");
     run_scene_opts(
@@ -204,7 +204,6 @@ fn concurrent_resumes_match_serial() {
         &RunOptions {
             checkpoint_every: Some(CheckpointEvery::SimSecs(0.3)),
             checkpoint_dir: Some(ck_dir.clone()),
-            checkpoint_source: source,
             ..RunOptions::default()
         },
     )
@@ -260,6 +259,22 @@ fn concurrent_resumes_match_serial() {
         assert_eq!(bytes, serial_bytes, "suffix traces must not depend on jobs");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A topology file resumes as the scene it lowers to: a lossy trunk,
+/// random, on/off and CBR sessions and strict-priority CBR queues, at
+/// the file's own seed.
+#[test]
+fn resume_contract_kitchen_sink_topology_file() {
+    let text = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/topologies/kitchen_sink.phantom"),
+    )
+    .unwrap();
+    let (scene, seed) = parse_str(&text).unwrap();
+    assert_resume_contract_on(&scene, seed, CheckpointEvery::SimSecs(0.2), 0, 0, |t| {
+        t.to_string()
+    });
 }
 
 /// The million-session scene, same contract. Ignored by default: it is
@@ -359,18 +374,11 @@ fn with_retired_keys(text: &str) -> (String, [usize; 3]) {
 fn resume_contract_ignores_retired_state_keys() {
     let scene = parse_scene(LEAN_FAN_IN).unwrap();
     let counts = std::cell::Cell::new([0; 3]);
-    assert_resume_contract_on(
-        &scene,
-        LEAN_FAN_IN,
-        CheckpointEvery::SimSecs(0.005),
-        0,
-        0,
-        |t| {
-            let (text, added) = with_retired_keys(t);
-            counts.set(added);
-            text
-        },
-    );
+    assert_resume_contract_on(&scene, 1996, CheckpointEvery::SimSecs(0.005), 0, 0, |t| {
+        let (text, added) = with_retired_keys(t);
+        counts.set(added);
+        text
+    });
     // 6 trunk ports and 20 access ports; 10 destinations, 3 traced.
     assert_eq!(counts.get(), [26, 20, 7]);
 }
@@ -430,7 +438,6 @@ fn diverge_localizes_an_injected_perturbation() {
             trace: Some(trace_a.clone()),
             checkpoint_every: Some(CheckpointEvery::SimSecs(0.01)),
             checkpoint_dir: Some(ck_dir.clone()),
-            checkpoint_source: DUMBBELL_A.to_string(),
             ..RunOptions::default()
         },
     )

@@ -276,6 +276,9 @@ pub fn compile(scene: &Scene, seed: u64) -> CompiledScene {
         let a = sw[by_name[t.a.as_str()]];
         let bb = sw[by_name[t.b.as_str()]];
         b.trunk(a, bb, t.mbps, us_to_dur(t.prop_us));
+        if let Some(p) = t.loss {
+            b.last_trunk_loss(p);
+        }
     }
     let mut traced = Vec::new();
     for (i, s) in scene.sessions.iter().enumerate() {
@@ -290,6 +293,9 @@ pub fn compile(scene: &Scene, seed: u64) -> CompiledScene {
                 debug_assert_eq!(sid.0, i, "session ids track declaration order");
                 traced.push(sid);
             }
+        }
+        if let Some(us) = s.access_prop_us {
+            b.last_session_access_prop(us_to_dur(us));
         }
     }
 

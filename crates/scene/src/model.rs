@@ -82,6 +82,8 @@ pub struct TrunkDecl {
     pub alpha_inc: Option<f64>,
     /// Per-trunk MACR decrease-gain override (`alpha_dec`).
     pub alpha_dec: Option<f64>,
+    /// Per-cell wire loss probability in `[0, 1)` (failure injection).
+    pub loss: Option<f64>,
 }
 
 /// One session.
@@ -95,6 +97,9 @@ pub struct SessionDecl {
     pub traffic: TrafficDecl,
     /// `Some(rate)` makes this an unresponsive CBR source at `rate` Mb/s.
     pub cbr_mbps: Option<f64>,
+    /// One-way propagation delay of the session's access links,
+    /// microseconds (default 10).
+    pub access_prop_us: Option<f64>,
 }
 
 /// A seeded parametric topology: the "metro" scene class. Instead of
@@ -720,7 +725,16 @@ impl Scene {
             let tp = expect_obj(
                 t,
                 &path,
-                &["a", "b", "mbps", "prop_us", "u", "alpha_inc", "alpha_dec"],
+                &[
+                    "a",
+                    "b",
+                    "mbps",
+                    "prop_us",
+                    "u",
+                    "alpha_inc",
+                    "alpha_dec",
+                    "loss",
+                ],
             )?;
             trunks.push(TrunkDecl {
                 a: string(req(tp, "a", &path)?, &path, "a")?,
@@ -730,6 +744,7 @@ impl Scene {
                 u: opt_num(tp, "u", &path)?,
                 alpha_inc: opt_num(tp, "alpha_inc", &path)?,
                 alpha_dec: opt_num(tp, "alpha_dec", &path)?,
+                loss: opt_num(tp, "loss", &path)?,
             });
         }
 
@@ -742,7 +757,11 @@ impl Scene {
             .enumerate()
         {
             let path = format!("sessions[{i}]");
-            let sp = expect_obj(s, &path, &["id", "path", "traffic", "cbr_mbps"])?;
+            let sp = expect_obj(
+                s,
+                &path,
+                &["id", "path", "traffic", "cbr_mbps", "access_prop_us"],
+            )?;
             let hops = req(sp, "path", &path)?
                 .as_arr()
                 .ok_or_else(|| format!("{path}.path: expected an array"))?
@@ -763,6 +782,7 @@ impl Scene {
                 path: hops,
                 traffic,
                 cbr_mbps: opt_num(sp, "cbr_mbps", &path)?,
+                access_prop_us: opt_num(sp, "access_prop_us", &path)?,
             });
         }
 
@@ -904,6 +924,7 @@ impl Scene {
                 ("u", t.u),
                 ("alpha_inc", t.alpha_inc),
                 ("alpha_dec", t.alpha_dec),
+                ("loss", t.loss),
             ] {
                 if let Some(v) = v {
                     let _ = write!(out, r#","{key}":{}"#, json_f64(v));
@@ -925,8 +946,13 @@ impl Scene {
             }
             out.push_str("],\"traffic\":");
             s.traffic.write(&mut out);
-            if let Some(r) = s.cbr_mbps {
-                let _ = write!(out, r#","cbr_mbps":{}"#, json_f64(r));
+            for (key, v) in [
+                ("cbr_mbps", s.cbr_mbps),
+                ("access_prop_us", s.access_prop_us),
+            ] {
+                if let Some(v) = v {
+                    let _ = write!(out, r#","{key}":{}"#, json_f64(v));
+                }
             }
             out.push('}');
         }
@@ -1213,6 +1239,11 @@ impl Scene {
                     "trunks[{i}].prop_us: must be non-negative and finite"
                 ));
             }
+            if let Some(p) = t.loss {
+                if !(0.0..1.0).contains(&p) {
+                    return Err(format!("trunks[{i}].loss: must be in [0, 1), got {p}"));
+                }
+            }
             for (key, v) in [
                 ("u", t.u),
                 ("alpha_inc", t.alpha_inc),
@@ -1276,6 +1307,13 @@ impl Scene {
             }
             if let Some(r) = s.cbr_mbps {
                 pos(r, &format!("sessions[{i}].cbr_mbps"))?;
+            }
+            if let Some(us) = s.access_prop_us {
+                if !us.is_finite() || us < 0.0 {
+                    return Err(format!(
+                        "sessions[{i}].access_prop_us: must be non-negative and finite"
+                    ));
+                }
             }
             let tpath = format!("sessions[{i}].traffic");
             match s.traffic {
