@@ -418,6 +418,10 @@ impl NetworkBuilder {
                     .add_route(vc, VcRoute { fwd_port, bwd_port });
             }
         }
+        // `add_route` grows the tables by doubling; every route is in now.
+        for &sw in &switch_ids {
+            engine.node_mut::<Switch>(sw).shrink_routes();
+        }
 
         // 5. Kick off timers. In lean mode, access ports (every port
         // index at or past the trunk count) get no measurement timer at

@@ -86,6 +86,11 @@ impl Switch {
         self.routes[idx] = Some(route);
     }
 
+    /// Release the route table's growth tail once every route is in.
+    pub(crate) fn shrink_routes(&mut self) {
+        self.routes.shrink_to_fit();
+    }
+
     /// Number of ports.
     pub fn port_count(&self) -> usize {
         self.ports.len()
@@ -181,5 +186,40 @@ impl Node<AtmMsg> for Switch {
             r.scope(&format!("p{i}"), |r| p.restore_state(r))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::network::NetworkBuilder;
+    use crate::traffic::Traffic;
+    use phantom_sim::{Engine, SimDuration};
+
+    /// A built switch holds its route table at its length, so its deep
+    /// byte count carries no never-touched growth tail.
+    #[test]
+    fn built_switch_counts_its_routes_at_their_length() {
+        let mut b = NetworkBuilder::new();
+        let (s1, s2) = (b.switch("s1"), b.switch("s2"));
+        b.trunk(s1, s2, 150.0, SimDuration::from_micros(10));
+        for _ in 0..5 {
+            b.session(&[s1, s2], Traffic::greedy());
+        }
+        let mut engine = Engine::new(1);
+        let net = b.build(&mut engine, &mut || Box::new(crate::allocator::NoControl));
+        for h in &net.switches {
+            let sw = engine.node::<Switch>(h.node);
+            assert_eq!(sw.routes.len(), 5);
+            let others = sw.name.capacity()
+                + sw.ports.capacity() * std::mem::size_of::<Port>()
+                + sw.ports.iter().map(Port::heap_bytes).sum::<usize>();
+            assert_eq!(
+                sw.heap_bytes() - others,
+                5 * std::mem::size_of::<Option<VcRoute>>(),
+                "switch {}",
+                h.name
+            );
+        }
     }
 }
