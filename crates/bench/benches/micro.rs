@@ -2,7 +2,8 @@
 //! every rate allocator, per-packet decision cost of every queue
 //! discipline (the paper's Fig. 18 pseudo-code among them — bench target
 //! `fig_seldiscard_cost` of DESIGN.md), the raw event throughput of
-//! the simulation kernel, and the trace writer's cost per line.
+//! the simulation kernel (and its cost per dispatch as the node working
+//! set outgrows the caches), and the trace writer's cost per line.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use phantom_atm::allocator::{PortMeasurement, RateAllocator};
@@ -183,6 +184,65 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
+/// A node the size of an `AbrSource` (264 B) that re-arms itself at a
+/// fixed period. Each dispatch writes one word in each of its slot's
+/// first four cache lines, as a pacing dispatch touches the gate, the
+/// rates and the counters.
+struct ColdNode {
+    state: [u64; 32],
+    period: SimDuration,
+}
+
+impl Node<u64> for ColdNode {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, u64>, msg: u64) {
+        for line in 0..4 {
+            self.state[line * 8] = self.state[line * 8].wrapping_add(msg);
+        }
+        ctx.send_self(self.period, msg + 1);
+    }
+}
+
+/// Dispatch cost against node count: N self-re-arming [`ColdNode`]s
+/// with staggered periods of about 100·N ns, so one event is due every
+/// ~100 ns whatever N, the calendar holds N events, and the order in
+/// which nodes come due drifts, as metro's sources do. From N = 10
+/// (every node in L1) to N = 10^5 (26 MB of nodes, as metro-100k's
+/// sources) only the node working set grows. One iteration is 100,000
+/// dispatches on a warm engine; the measurement pass prints ns/dispatch.
+fn bench_cold_nodes(c: &mut Criterion) {
+    const DISPATCHES: u64 = 100_000;
+    let mut group = c.benchmark_group("engine/dispatch_cold_nodes");
+    for n in [10u64, 1_000, 10_000, 100_000] {
+        let mut e = Engine::<u64>::new(1);
+        for i in 0..n {
+            let id = e.add_node(ColdNode {
+                state: [i; 32],
+                period: SimDuration::from_nanos(100 * n + (i * 7_919) % 997),
+            });
+            e.schedule(SimTime((i * 7_919) % (100 * n)), id, i);
+        }
+        // Every node has run at least once before timing starts.
+        e.run_to_completion(4 * n);
+        let mut pass = 0;
+        group.bench_function(n.to_string(), |b| {
+            pass += 1;
+            let start = Instant::now();
+            let before = e.events_processed();
+            b.iter(|| e.run_to_completion(DISPATCHES));
+            let secs = start.elapsed().as_secs_f64();
+            // The first pass is the warm-up.
+            if pass == 2 {
+                println!(
+                    "bench: {:50} {:.1} ns/dispatch",
+                    format!("engine/dispatch_cold_nodes/{n}"),
+                    secs * 1e9 / (e.events_processed() - before) as f64
+                );
+            }
+        });
+    }
+    group.finish();
+}
+
 /// The timer wheel's three scheduling regimes, measured on the bare
 /// [`EventQueue`] (no node dispatch, no probes): a hold of 256 pending
 /// events where each op pops the head and re-arms it one delay later.
@@ -317,6 +377,7 @@ criterion_group!(
     bench_allocators,
     bench_qdiscs,
     bench_engine,
+    bench_cold_nodes,
     bench_wheel,
     bench_trace
 );

@@ -36,7 +36,7 @@ use phantom_metrics::{BenchRecord, Manifest, RunRecord};
 use phantom_scenarios::registry::{all_experiments, dynamic_experiments, suggest_id};
 use phantom_scenarios::sweep::{run_sweep_with, SweepJob, SweepOptions, SweepRun};
 use phantom_scenarios::ExperimentOutput;
-use phantom_scene::{load_scene_dir, register_scene, scale_scene, shard_scale_scene};
+use phantom_scene::{load_scene_dir, register_scene, scale_scene, shard_scale_scene, Scene};
 use phantom_sim::probe::KindSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -325,6 +325,18 @@ fn report_multi_seed(id: &str, runs: Vec<SweepRun>, args: &Args) -> bool {
     true
 }
 
+/// The loaded scenes `all` adds to the catalog: those that declare an
+/// explicit topology, in load order. A generated scene runs only when
+/// named by id or by `--scale`: one metro-class run outweighs the whole
+/// catalog, and a sweep that picks it up silently no longer has the
+/// catalog's 31 runs.
+fn all_scene_ids(loaded: &[Scene]) -> impl Iterator<Item = &str> {
+    loaded
+        .iter()
+        .filter(|s| s.generate.is_none())
+        .map(|s| s.id.as_str())
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -365,9 +377,9 @@ fn main() -> ExitCode {
     }
     let mut args = args;
     if args.all {
-        for (id, _) in dynamic_experiments() {
-            if !args.ids.contains(&id) {
-                args.ids.push(id);
+        for id in all_scene_ids(&loaded_scenes) {
+            if !args.ids.iter().any(|i| i == id) {
+                args.ids.push(id.to_string());
             }
         }
     }
@@ -714,5 +726,28 @@ fn main() -> ExitCode {
         ExitCode::from(EXIT_BENCH_REGRESSION)
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    #[test]
+    fn all_adds_explicit_scenes_but_not_generated_ones() {
+        let scenes = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenes");
+        let metro = load_scene_dir(&scenes.join("metro")).unwrap();
+        assert_eq!(metro.len(), 2);
+        assert_eq!(
+            all_scene_ids(&metro).count(),
+            0,
+            "metro scenes are generated"
+        );
+        let explicit = load_scene_dir(&scenes).unwrap();
+        assert_eq!(
+            all_scene_ids(&explicit).collect::<Vec<_>>(),
+            ["capstep", "churn", "fig2", "fig4", "fig6", "linkflap"]
+        );
     }
 }

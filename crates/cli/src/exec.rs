@@ -16,7 +16,7 @@ use phantom_metrics::manifest::{Manifest, METRICS_SCHEMA, PROFILE_SCHEMA};
 use phantom_metrics::{jain_index, phantom_prediction, ProfileRecord, Registry, RunStatus, Table};
 use phantom_scenarios::probes::{ensure_parent, ProbeSpec};
 use phantom_scene::compile::ms_to_time;
-use phantom_scene::{analysis_targets, RunPlan, Scene};
+use phantom_scene::{analysis_targets, RunPlan, Scene, TrafficDecl};
 use phantom_sim::flight;
 use phantom_sim::probe::KindSet;
 use phantom_sim::telemetry::{self, RunCounters};
@@ -419,12 +419,18 @@ pub fn predict(scene: &Scene) -> Result<String, String> {
                         .expect("validated connectivity")
                 })
                 .collect();
-            Session::on(links)
+            match s.cbr_mbps {
+                None => Session::on(links),
+                Some(mbps) => Session::on(links).cap(mbps_to_cps(mbps) * duty_cycle(&s.traffic)),
+            }
         })
         .collect();
     let (rates, macrs) = phantom_prediction(&caps, &sessions, u);
     let mut out = String::new();
-    let _ = writeln!(out, "phantom fixed point (u = {u}, all sessions greedy):");
+    let _ = writeln!(
+        out,
+        "phantom fixed point (u = {u}; ABR sessions greedy, CBR at its mean offered rate):"
+    );
     for (i, r) in rates.iter().enumerate() {
         let path = scene.sessions[i].path.join("→");
         let _ = writeln!(out, "  session {i} [{path}]: {:8.2} Mb/s", cps_to_mbps(*r));
@@ -439,6 +445,21 @@ pub fn predict(scene: &Scene) -> Result<String, String> {
         );
     }
     Ok(out)
+}
+
+/// The share of time a source with this traffic pattern sends: the
+/// mean duty cycle of an on/off pattern, 1 for a greedy one. A window
+/// counts as always on, since the fixed point describes the time it is
+/// active.
+fn duty_cycle(traffic: &TrafficDecl) -> f64 {
+    match *traffic {
+        TrafficDecl::Greedy | TrafficDecl::Window { .. } => 1.0,
+        TrafficDecl::OnOff { on_ms, off_ms, .. } => on_ms / (on_ms + off_ms),
+        TrafficDecl::Random {
+            mean_on_ms,
+            mean_off_ms,
+        } => mean_on_ms / (mean_on_ms + mean_off_ms),
+    }
 }
 
 /// Run many independent scenes under one seed, fanning across up to
@@ -620,6 +641,23 @@ run 400ms seed=3
         let text = predict(&scene).unwrap();
         assert!(text.contains("68.18"));
         assert!(text.contains("13.64"));
+    }
+
+    #[test]
+    fn predict_holds_cbr_sessions_at_their_offered_rate() {
+        let src = include_str!("../../../examples/topologies/kitchen_sink.phantom");
+        let (scene, _) = parse_str(src).unwrap();
+        let text = predict(&scene).unwrap();
+        // `cbr edge core 20mbps` and `cbr core far 10mbps on=100ms
+        // off=100ms`: the run delivers 19.98 and 4.94 Mb/s.
+        assert!(
+            text.contains("session 4 [edge→core]:    20.00 Mb/s"),
+            "{text}"
+        );
+        assert!(
+            text.contains("session 5 [core→far]:     5.00 Mb/s"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //! One function, `dispatch_loop`, pops and dispatches events. It is
 //! generic over an `Observer`: `()` observes nothing and compiles to the
 //! bare pop-and-dispatch cycle; `Watch` adds profiler timing, the flight
-//! recorder's cursors and the probe cursor of a shard worker. The run
-//! functions around it decide only where a window ends: one window to
-//! the horizon on a single shard (one per calendar slice while a cancel
-//! token is armed, so the token is checked between them), and
-//! lookahead-bounded epochs on each worker of a sharded run.
+//! recorder's cursors and the probe cursor of a shard worker. A `const`
+//! flag, picked once per run from the size of the node tables, adds
+//! prefetching of the next events' node state (`Lane::prefetch_next`),
+//! which hides memory latency on metro-scale networks and changes no
+//! dispatch. The run functions around it decide only where a window
+//! ends: one window to the horizon on a single shard (one per calendar
+//! slice while a cancel token is armed, so the token is checked between
+//! them), and lookahead-bounded epochs on each worker of a sharded run.
 //!
 //! The dispatch path is deliberately allocation-free and cache-friendly:
 //! nodes live in *typed arenas* — one contiguous `Vec<N>` per concrete node
@@ -294,6 +297,58 @@ struct Loc {
     next_key: u64,
 }
 
+/// Bytes per cache line on the targets this engine is tuned on.
+const CACHE_LINE: usize = 64;
+
+/// At most this many leading bytes of a node's slot are prefetched:
+/// every cache line an `AbrSource` (264 B, five lines at any 8-byte
+/// alignment) or an `AbrDest` touches. With only the first four lines,
+/// metro-100k's median `wall_s` was 23.2 s against 19.2 s (six pairs).
+const PREFETCH_SPAN: usize = 8 * CACHE_LINE;
+
+/// Node tables (arenas, `Loc` index and RNG streams, as
+/// [`Engine::nodes_footprint_bytes`] counts them) at least this large make
+/// a run prefetch (see [`Lane::prefetch_next`]): the per-core L2 of the
+/// measuring host.
+///
+/// From `engine/dispatch_cold_nodes/{N}` (264-byte nodes, 312 B of
+/// tables each; 2-core Xeon, 2 MiB L2 per core; medians of 10 runs in
+/// EXPERIMENTS.md), plain loop → prefetch forced on, in ns/dispatch:
+/// N = 10 (5 KiB of tables) 41.5 → 53.2, a loss; N = 10³ (0.30 MiB)
+/// 59.2 → 55.9, inside the spread; N = 10⁴ (4.9 MiB) 86.2 → 63.7 and
+/// N = 10⁵ (39 MiB) 192.9 → 115.9, gains. The threshold sits between
+/// the break-even and the first clear gain, so every table that fits in
+/// L2 keeps the plain loop.
+const PREFETCH_MIN_BYTES: usize = 2 << 20;
+
+/// Where one typed arena's slots sit in memory: the first slot's address,
+/// the slot size, and how many of each slot's leading bytes to prefetch.
+/// An arena cannot grow during a run (nodes are added only between
+/// runs), so a table of these taken when a run starts stays valid until
+/// it ends. The address is only ever handed to a prefetch hint, never
+/// dereferenced.
+#[derive(Clone, Copy)]
+struct SlotLayout {
+    base: usize,
+    stride: usize,
+    span: usize,
+}
+
+/// Ask the CPU to start loading the cache line at `addr`. A hint: it
+/// never faults, whatever the address, and changes no memory.
+#[inline(always)]
+fn prefetch_line(addr: usize) {
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    // SAFETY: `prefetcht0` has no memory effect and cannot fault; SSE,
+    // which it needs, is part of the x86_64 baseline.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(addr as *const i8);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
+}
+
 /// One contiguous storage block for every node of a single concrete type.
 ///
 /// Nodes sit in `UnsafeCell` so the dispatch loop can hand out `&mut N`
@@ -330,6 +385,8 @@ trait NodeArena<M>: Sync {
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn len(&self) -> usize;
     fn type_name(&self) -> &'static str;
+    /// Where the slots sit in memory, for prefetching.
+    fn layout(&self) -> SlotLayout;
     /// Bytes of arena-owned storage (capacity × node size).
     fn bytes(&self) -> usize;
     /// Sum of the nodes' own heap ([`Node::heap_bytes`]).
@@ -363,6 +420,15 @@ impl<M: 'static, N: Node<M>> NodeArena<M> for TypedArena<N> {
 
     fn type_name(&self) -> &'static str {
         std::any::type_name::<N>()
+    }
+
+    fn layout(&self) -> SlotLayout {
+        let stride = size_of::<UnsafeCell<N>>();
+        SlotLayout {
+            base: self.nodes.as_ptr() as usize,
+            stride,
+            span: stride.min(PREFETCH_SPAN),
+        }
     }
 
     fn bytes(&self) -> usize {
@@ -668,6 +734,9 @@ struct Nodes<'a, M> {
     rngs: SyncPtr<SmallRng>,
     /// Length of both tables.
     len: usize,
+    /// Each arena's [`SlotLayout`] when the run prefetches; empty when
+    /// it does not (see [`Lane::dispatch`]).
+    layouts: &'a [SlotLayout],
 }
 
 impl<M> Clone for Nodes<'_, M> {
@@ -817,6 +886,22 @@ struct Lane<'a, M> {
 }
 
 impl<M: 'static> Lane<'_, M> {
+    /// [`Lane::dispatch_loop`], prefetching when the run took slot
+    /// layouts. The variant is fixed for the whole run; this picks the
+    /// matching instance once per window.
+    fn dispatch<O: Observer<M>>(
+        &mut self,
+        cap: SimTime,
+        budget: u64,
+        obs: &mut O,
+    ) -> (u64, Option<SimTime>) {
+        if self.nodes.layouts.is_empty() {
+            self.dispatch_loop::<false, O>(cap, budget, obs)
+        } else {
+            self.dispatch_loop::<true, O>(cap, budget, obs)
+        }
+    }
+
     /// The engine's one dispatch loop: pop every event at or before
     /// `cap`, until `budget` events have run, and deliver each to its
     /// node. Returns the events handled (coalesced work included) and the
@@ -826,7 +911,12 @@ impl<M: 'static> Lane<'_, M> {
     /// separate arguments, or a destructuring `let-else`, spilled the
     /// tables around the node call and copied each message once more,
     /// costing one-shard ATM runs 5–10% (2-core Xeon host).
-    fn dispatch_loop<O: Observer<M>>(
+    ///
+    /// With `PREFETCH` the loop also starts loading the next two events'
+    /// node state before each dispatch ([`Lane::prefetch_next`]). The
+    /// engine picks it once per run from the node tables' size, so runs
+    /// whose nodes stay in cache keep the plain loop.
+    fn dispatch_loop<const PREFETCH: bool, O: Observer<M>>(
         &mut self,
         cap: SimTime,
         budget: u64,
@@ -848,6 +938,9 @@ impl<M: 'static> Lane<'_, M> {
             // A node may send to any `NodeId`; one past the tables is a
             // bug in the scenario, not a reason to read out of bounds.
             assert!(dst.0 < self.nodes.len, "event for unknown node {}", dst.0);
+            if PREFETCH {
+                self.prefetch_next();
+            }
             obs.popped(time, ev.seq, &ev.msg);
             #[allow(unsafe_code)]
             // SAFETY: `dst` is in bounds (asserted above) and belongs to
@@ -885,6 +978,42 @@ impl<M: 'static> Lane<'_, M> {
             }
         }
         (events, last)
+    }
+
+    /// Software-pipeline the next two dispatches: start loading the `Loc`
+    /// entry of the event after next, and every cache line of the next
+    /// event's arena slot (up to [`PREFETCH_SPAN`] bytes), whose `Loc`
+    /// entry the previous call began loading. Called between a pop and
+    /// its dispatch. Only hints are issued, so the dispatch order, keys
+    /// and node state cannot change: a peeked event that a later push
+    /// overtakes just wasted a prefetch. On a sharded run a lane's
+    /// calendar holds only its own nodes' events, so every entry read
+    /// here belongs to this lane.
+    #[inline(always)]
+    fn prefetch_next(&self) {
+        let nodes = self.nodes;
+        if let Some(d) = self.queue.peek_active_dst(1) {
+            if d.0 < nodes.len {
+                prefetch_line(nodes.locs.0.wrapping_add(d.0) as usize);
+            }
+        }
+        if let Some(d) = self.queue.peek_active_dst(0) {
+            if d.0 < nodes.len {
+                #[allow(unsafe_code)]
+                // SAFETY: `d` is in bounds (checked above) and one of this
+                // lane's nodes (see above). The entry is copied out before
+                // the pending dispatch takes its `&mut Loc`, which may be
+                // the same entry, so no reference outlives this read.
+                let loc = unsafe { *nodes.locs.0.add(d.0) };
+                let lay = nodes.layouts[loc.arena as usize];
+                let slot = lay.base + loc.slot as usize * lay.stride;
+                let mut line = slot & !(CACHE_LINE - 1);
+                while line < slot + lay.span {
+                    prefetch_line(line);
+                    line += CACHE_LINE;
+                }
+            }
+        }
     }
 }
 
@@ -940,7 +1069,7 @@ impl<'a, M: 'static> ShardWorker<'a, M> {
         };
         self.watch.begin();
         let cap = SimTime((end.0 - 1).min(until.0));
-        let (n, last) = lane.dispatch_loop(cap, u64::MAX, &mut self.watch);
+        let (n, last) = lane.dispatch(cap, u64::MAX, &mut self.watch);
         self.watch.end();
         self.events += n;
         self.last = last.or(self.last);
@@ -1064,6 +1193,27 @@ impl<M: 'static + Send> Engine<M> {
         done
     }
 
+    /// Should this run prefetch? Yes once the node tables outgrow
+    /// [`PREFETCH_MIN_BYTES`]: below it they stay in cache and the hints
+    /// would cost more than they hide.
+    fn prefetch_pays(&self) -> bool {
+        #[cfg(test)]
+        if let Some(on) = tests::FORCE_PREFETCH.with(Cell::get) {
+            return on;
+        }
+        self.nodes_footprint_bytes() >= PREFETCH_MIN_BYTES
+    }
+
+    /// The arena layouts a run's lanes prefetch with: every arena's
+    /// [`SlotLayout`] when [`Engine::prefetch_pays`], else none (and no
+    /// allocation), which keeps the lanes on the plain loop.
+    fn slot_layouts(&self) -> Vec<SlotLayout> {
+        if !self.prefetch_pays() {
+            return Vec::new();
+        }
+        self.arenas.iter().map(|a| a.layout()).collect()
+    }
+
     /// Dispatch events at or before `until` until `budget` have run, on
     /// one shard or on the requested shard count. Returns the events
     /// dispatched.
@@ -1102,6 +1252,7 @@ impl<M: 'static + Send> Engine<M> {
     /// stops clean: the event the check rejects stays in the calendar and
     /// every probe has seen complete events only.
     fn run_single<O: Observer<M>>(&mut self, until: SimTime, budget: u64, obs: &mut O) {
+        let layouts = self.slot_layouts();
         let mut lane = Lane {
             queue: &mut self.queue,
             nodes: Nodes {
@@ -1109,11 +1260,12 @@ impl<M: 'static + Send> Engine<M> {
                 locs: SyncPtr(self.locs.as_mut_ptr()),
                 rngs: SyncPtr(self.rngs.as_mut_ptr()),
                 len: self.locs.len(),
+                layouts: &layouts,
             },
             route: None,
         };
         let (events, last) = match crate::cancel::token() {
-            None => lane.dispatch_loop(until, budget, obs),
+            None => lane.dispatch(until, budget, obs),
             Some(tok) => {
                 let (mut events, mut last) = (0, None);
                 while events < budget {
@@ -1124,7 +1276,7 @@ impl<M: 'static + Send> Engine<M> {
                     // A window that finds no active event only advances the wheel.
                     let cap = lane.queue.slice_end().min(until);
                     let quota = (budget - events).min(CANCEL_CHECK_EVENTS);
-                    let (n, l) = lane.dispatch_loop(cap, quota, obs);
+                    let (n, l) = lane.dispatch(cap, quota, obs);
                     events += n;
                     last = l.or(last);
                     if n == 0 && lane.queue.peek_time().is_none_or(|t| t > until) {
@@ -1202,12 +1354,14 @@ impl<M: 'static + Send> Engine<M> {
         let base = self.events_processed;
         let mut cancelled = false;
 
+        let layouts = self.slot_layouts();
         let outs: Vec<WorkerOut<M>> = {
             let nodes = Nodes {
                 arenas: &self.arenas,
                 locs: SyncPtr(self.locs.as_mut_ptr()),
                 rngs: SyncPtr(self.rngs.as_mut_ptr()),
                 len: self.locs.len(),
+                layouts: &layouts,
             };
             let node_shard: &[u32] = &plan.node_shard;
             let classify = self.classify;
@@ -1454,6 +1608,13 @@ impl<M: 'static + SnapshotMessage> Engine<M> {
 mod tests {
     use super::*;
     use rand::Rng;
+    use std::sync::{Arc, Mutex};
+
+    thread_local! {
+        /// Overrides [`Engine::prefetch_pays`] for runs started on this
+        /// thread; `None` decides by size.
+        pub(super) static FORCE_PREFETCH: Cell<Option<bool>> = const { Cell::new(None) };
+    }
 
     #[derive(Default)]
     struct Collector {
@@ -2174,5 +2335,111 @@ mod tests {
         e.schedule(SimTime::from_millis(2), c, 99);
         assert_eq!(e.run_to_completion(u64::MAX), 1);
         assert_eq!(thread_events_dispatched() - before, 11);
+    }
+
+    /// A node the size of an `AbrSource` that re-arms a timer and, every
+    /// fourth tick, sends to a peer. Every message carries the key the
+    /// engine gave its send, and every delivery lands in a shared log.
+    struct ColdNode {
+        state: [u64; 33],
+        period: SimDuration,
+        peer: NodeId,
+        ticks: u64,
+        log: Arc<Mutex<Vec<(u64, u64, usize)>>>,
+    }
+
+    /// `(key of the send, is a timer)`.
+    type ColdMsg = (u64, bool);
+
+    impl Node<ColdMsg> for ColdNode {
+        fn on_event(&mut self, ctx: &mut Ctx<'_, ColdMsg>, (key, timer): ColdMsg) {
+            let me = ctx.self_id().0;
+            self.log.lock().unwrap().push((ctx.now().0, key, me));
+            let i = (key % 33) as usize;
+            self.state[i] = self.state[i].rotate_left(7) ^ ctx.rng().gen::<u64>();
+            if !timer {
+                return;
+            }
+            self.ticks += 1;
+            let k = ctx.next_key;
+            ctx.send_self(self.period, (k, true));
+            if self.ticks.is_multiple_of(4) {
+                let k = ctx.next_key;
+                ctx.send(self.peer, SimDuration::from_micros(5), (k, false));
+            }
+        }
+    }
+
+    /// Run 8,192 cold nodes (2.7 MiB of node tables, above
+    /// `PREFETCH_MIN_BYTES`) for 300 µs on `shards` shards with the
+    /// prefetch decision forced to `prefetch`. Returns the dispatch log
+    /// and every node's final state, RNG stream and next send key.
+    #[allow(clippy::type_complexity)]
+    fn cold_run(
+        shards: usize,
+        prefetch: bool,
+    ) -> (Vec<(u64, u64, usize)>, Vec<([u64; 33], [u64; 4], u64)>) {
+        const N: usize = 8_192;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut e = Engine::<ColdMsg>::new(11);
+        for i in 0..N {
+            e.add_node(ColdNode {
+                state: [i as u64; 33],
+                period: SimDuration::from_nanos(10_000 + 37 * (i as u64 % 101)),
+                peer: NodeId((i * 7 + 3) % N),
+                ticks: 0,
+                log: Arc::clone(&log),
+            });
+        }
+        e.set_shard_hints(ShardHints {
+            lookahead: SimDuration::from_micros(5),
+            affinity: Vec::new(),
+        });
+        for i in 0..N {
+            e.schedule(SimTime((i as u64 * 7_919) % 10_000), NodeId(i), (0, true));
+        }
+        assert!(
+            e.nodes_footprint_bytes() >= PREFETCH_MIN_BYTES && e.prefetch_pays(),
+            "the test engine must sit above the threshold"
+        );
+        let _s = crate::shard::ShardGuard::new(shards);
+        FORCE_PREFETCH.with(|f| f.set(Some(prefetch)));
+        e.run_until(SimTime::from_micros(300));
+        FORCE_PREFETCH.with(|f| f.set(None));
+        let mut log = std::mem::take(&mut *log.lock().unwrap());
+        if shards > 1 {
+            // Shards append concurrently; the dispatch order is the
+            // `(time, key)` order.
+            log.sort_unstable();
+        }
+        let end = (0..N)
+            .map(|i| {
+                let n = e.node::<ColdNode>(NodeId(i));
+                (n.state, e.rngs[i].state(), e.locs[i].next_key)
+            })
+            .collect();
+        (log, end)
+    }
+
+    #[test]
+    fn prefetch_changes_no_dispatch_and_no_state() {
+        let (plain_log, plain_end) = cold_run(1, false);
+        assert!(plain_log.len() > 200_000, "{} dispatches", plain_log.len());
+        assert!(
+            plain_log
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "one shard dispatches in (time, key) order"
+        );
+        for shards in [1, 2] {
+            let (log, end) = cold_run(shards, true);
+            assert!(
+                log == plain_log,
+                "{shards} shard(s): dispatch sequence differs"
+            );
+            assert!(end == plain_end, "{shards} shard(s): node state differs");
+        }
+        let (log, end) = cold_run(2, false);
+        assert!(log == plain_log && end == plain_end, "2 shards, plain loop");
     }
 }

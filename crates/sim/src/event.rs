@@ -582,6 +582,15 @@ impl<M> EventQueue<M> {
         })
     }
 
+    /// Destination of the `i`-th event of the sorted active run (0 is the
+    /// next to pop), if the run holds that many. A hint for prefetching
+    /// only: a push made before that event pops may land ahead of it, and
+    /// a run that ends short of `i` says nothing about the next slice.
+    #[inline]
+    pub(crate) fn peek_active_dst(&self, i: usize) -> Option<NodeId> {
+        self.active.get(i).map(|e| e.dst)
+    }
+
     /// Timestamp of the earliest pending event.
     ///
     /// Cheap when the active run is warm; otherwise scans the occupancy
