@@ -23,14 +23,13 @@ pub fn analyze_trace_str_two_pass(
 ) -> Result<AnalysisReport, String> {
     assert!(window_secs > 0.0);
     let mut lines = text.lines();
-    let manifest = parse_manifest_line(lines.next().ok_or("empty trace")?)
-        .map_err(|e| format!("line 1: {e}"))?
-        .for_schema(ANALYSIS_SCHEMA);
+    let manifest =
+        parse_manifest_line(lines.next().ok_or("empty trace")?)?.for_schema(ANALYSIS_SCHEMA);
 
     // Pass 1: buffer everything.
     let mut events = Vec::new();
     for (n, line) in lines.enumerate() {
-        events.push(parse_event_line(line).map_err(|e| format!("line {}: {e}", n + 2))?);
+        events.push(parse_event_line(line, n + 2)?);
     }
 
     let widx = |t: f64| (t / window_secs).max(0.0) as u64;

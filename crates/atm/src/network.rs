@@ -25,7 +25,6 @@ use crate::source::AbrSource;
 use crate::switch::{Switch, VcRoute};
 use crate::traffic::Traffic;
 use crate::units::mbps_to_cps;
-use phantom_metrics::Registry;
 use phantom_sim::stats::TimeSeries;
 use phantom_sim::{Engine, NodeId, ShardHints, SimDuration, SimTime};
 
@@ -544,44 +543,6 @@ pub struct Network {
 }
 
 impl Network {
-    /// Register every trunk port and every switch into `registry`:
-    /// per-direction trunk metrics labelled `link="A->B"` (declared
-    /// switch names) and per-switch routed-cells counters. Call once
-    /// after [`NetworkBuilder::build`], before running the engine.
-    pub fn bind_metrics(&self, engine: &mut Engine<AtmMsg>, registry: &Registry) {
-        for sh in &self.switches {
-            engine.node_mut::<Switch>(sh.node).bind_metrics(registry);
-        }
-        for th in &self.trunks {
-            let fwd = format!(
-                "{}->{}",
-                self.switch_name(th.a_switch),
-                self.switch_name(th.b_switch)
-            );
-            let bwd = format!(
-                "{}->{}",
-                self.switch_name(th.b_switch),
-                self.switch_name(th.a_switch)
-            );
-            engine
-                .node_mut::<Switch>(th.a_switch)
-                .port_mut(th.a_port)
-                .bind_metrics(registry, &fwd);
-            engine
-                .node_mut::<Switch>(th.b_switch)
-                .port_mut(th.b_port)
-                .bind_metrics(registry, &bwd);
-        }
-    }
-
-    fn switch_name(&self, node: NodeId) -> &str {
-        self.switches
-            .iter()
-            .find(|s| s.node == node)
-            .map(|s| s.name.as_str())
-            .unwrap_or("?")
-    }
-
     /// The traces of trunk `t`'s a→b port (every trunk port records them).
     fn trunk_series<'e>(&self, engine: &'e Engine<AtmMsg>, t: TrunkIdx) -> &'e PortSeries {
         self.trunk_port(engine, t)
@@ -620,25 +581,6 @@ impl Network {
     /// Delivered-rate trace of session `s`.
     pub fn session_rate<'e>(&self, engine: &'e Engine<AtmMsg>, s: SessionId) -> &'e TimeSeries {
         &engine.node::<AbrDest>(self.sessions[s.0].dest).rate_series
-    }
-
-    /// Mean delivered rate of session `s` over the run, cells/s.
-    pub fn session_mean_rate(&self, engine: &Engine<AtmMsg>, s: SessionId) -> f64 {
-        engine
-            .node::<AbrDest>(self.sessions[s.0].dest)
-            .mean_rate(engine.now().as_secs_f64())
-    }
-
-    /// Data cells delivered for session `s`.
-    pub fn session_delivered(&self, engine: &Engine<AtmMsg>, s: SessionId) -> u64 {
-        engine
-            .node::<AbrDest>(self.sessions[s.0].dest)
-            .data_received
-    }
-
-    /// Number of sessions, for iterating `(0..n).map(SessionId)`.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
     }
 
     /// The [`SessionHandle`] of session `s`.

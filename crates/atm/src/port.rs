@@ -3,15 +3,14 @@
 //!
 //! The port is where everything the paper plots lives: the queue-length
 //! trace, the MACR trace (the allocator's fair-share estimate) and the
-//! utilization counters. The traces and metric handles live in a boxed
-//! [`PortSeries`] that only observed ports carry (the builder gives one to
-//! every trunk port); an access port keeps the hot fields alone.
+//! utilization counters. The traces live in a boxed [`PortSeries`] that
+//! only observed ports carry (the builder gives one to every trunk port);
+//! an access port keeps the hot fields alone.
 
 use crate::allocator::{PortMeasurement, RateAllocator};
 use crate::cell::{Cell, CellKind, ServiceClass};
 use crate::msg::{AtmMsg, Timer};
 use crate::units::cell_time;
-use phantom_metrics::registry::{CounterHandle, GaugeHandle, Registry};
 use phantom_sim::probe::{self, DropReason, ProbeEvent};
 use phantom_sim::stats::TimeSeries;
 use phantom_sim::{telemetry, BoundedFifo, Ctx, NodeId, SimDuration};
@@ -36,17 +35,8 @@ pub fn tx_batch_limit() -> u32 {
     BATCH_LIMIT.load(Ordering::Relaxed)
 }
 
-/// Registry handles a port updates when metrics are bound.
-struct PortMetrics {
-    tx_cells: CounterHandle,
-    dropped_cells: CounterHandle,
-    queue_cells: GaugeHandle,
-    macr: GaugeHandle,
-    throughput: GaugeHandle,
-}
-
-/// The per-interval traces of an observed port, and its metric handles
-/// once bound. Boxed so unobserved ports pay one pointer for them.
+/// The per-interval traces of an observed port. Boxed so unobserved
+/// ports pay one pointer for them.
 #[derive(Default)]
 pub struct PortSeries {
     /// Fair-share (MACR) samples, one per measurement interval.
@@ -56,7 +46,6 @@ pub struct PortSeries {
     /// Departure-rate samples (cells/s), one per measurement interval —
     /// the utilization trace.
     pub throughput: TimeSeries,
-    metrics: Option<PortMetrics>,
 }
 
 impl PortSeries {
@@ -85,7 +74,7 @@ pub struct Port {
     loss_prob: f64,
     /// Cells lost to injected link errors.
     pub wire_losses: u64,
-    /// Traces and metric handles; `None` on a port nobody observes.
+    /// Traces; `None` on a port nobody observes.
     series: Option<Box<PortSeries>>,
 }
 
@@ -93,7 +82,7 @@ impl Port {
     /// A port transmitting to `link_to` at `capacity` cells/s with
     /// propagation delay `prop`, queue bound `queue_cap` cells, running
     /// `allocator` every `measure_interval`. It records no series until
-    /// [`Port::record_series`] or [`Port::bind_metrics`] asks for them.
+    /// [`Port::record_series`] asks for them.
     pub fn new(
         link_to: NodeId,
         capacity: f64,
@@ -147,20 +136,6 @@ impl Port {
                 .map_or(0, |s| std::mem::size_of_val(&**s) + s.heap_bytes())
     }
 
-    /// Register this port's counters and gauges into `registry`, labelled
-    /// `link=<label>`, and record its series. Call once at build time;
-    /// unbound ports skip all metric updates.
-    pub fn bind_metrics(&mut self, registry: &Registry, label: &str) {
-        let l: &[(&str, &str)] = &[("link", label)];
-        self.series.get_or_insert_with(Box::default).metrics = Some(PortMetrics {
-            tx_cells: registry.counter("atm_tx_cells_total", l),
-            dropped_cells: registry.counter("atm_dropped_cells_total", l),
-            queue_cells: registry.gauge("atm_queue_cells", l),
-            macr: registry.gauge("atm_macr_cells_per_sec", l),
-            throughput: registry.gauge("atm_throughput_cells_per_sec", l),
-        });
-    }
-
     /// Serve CBR-class cells from a separate strict-priority queue
     /// (capacity `cap` cells). Real switches isolate reserved traffic
     /// from ABR queueing this way.
@@ -192,19 +167,14 @@ impl Port {
         self.queue.len() + self.high.as_ref().map_or(0, |h| h.len())
     }
 
-    /// Current ABR-class (low-priority) queue length.
-    pub fn abr_queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Cells dropped at this port (queue overflow, both classes).
     pub fn drops(&self) -> u64 {
         self.queue.drops() + self.high.as_ref().map_or(0, |h| h.drops())
     }
 
-    /// Total cells transmitted.
+    /// Cells transmitted (both classes), wire losses included.
     pub fn total_departures(&self) -> u64 {
-        self.queue.departures()
+        self.queue.departures() + self.high.as_ref().map_or(0, |h| h.departures())
     }
 
     /// Link capacity in cells/s.
@@ -220,11 +190,6 @@ impl Port {
     /// Immutable access to the allocator (downcast with `Any` if needed).
     pub fn allocator(&self) -> &dyn RateAllocator {
         self.allocator.as_ref()
-    }
-
-    /// Mutable access to the allocator.
-    pub fn allocator_mut(&mut self) -> &mut dyn RateAllocator {
-        self.allocator.as_mut()
     }
 
     /// Largest (combined) queue length seen.
@@ -253,9 +218,6 @@ impl Port {
                 ctx.send_self(self.cell_time, AtmMsg::Timer(Timer::TxDone { port: me }));
             }
         } else {
-            if let Some(m) = self.metrics() {
-                m.dropped_cells.inc();
-            }
             ctx.emit(|| ProbeEvent::Drop {
                 port: me as u32,
                 qlen: self.queue_len() as u32,
@@ -292,9 +254,6 @@ impl Port {
             .expect("TxDone fired with an empty queue");
             sent += 1;
             self.departures += 1;
-            if let Some(m) = self.metrics() {
-                m.tx_cells.inc();
-            }
             probe::emit(depart, ctx.self_id(), || ProbeEvent::Dequeue {
                 port: me as u32,
                 qlen: self.queue_len() as u32,
@@ -306,9 +265,6 @@ impl Port {
             if lost {
                 self.wire_losses += 1;
                 telemetry::note_drop();
-                if let Some(m) = self.metrics() {
-                    m.dropped_cells.inc();
-                }
                 probe::emit(depart, ctx.self_id(), || ProbeEvent::Drop {
                     port: me as u32,
                     qlen: self.queue_len() as u32,
@@ -356,13 +312,6 @@ impl Port {
             s.macr.push(ctx.now(), fair_share);
             s.queue.push(ctx.now(), qlen);
             s.throughput.push(ctx.now(), m.departure_rate());
-            if let Some(h) = &s.metrics {
-                h.queue_cells.set(ctx.now(), qlen);
-                h.throughput.set(ctx.now(), m.departure_rate());
-                if fair_share.is_finite() {
-                    h.macr.set(ctx.now(), fair_share);
-                }
-            }
         }
         if fair_share.is_finite() {
             ctx.emit(|| {
@@ -396,10 +345,6 @@ impl Port {
     pub fn observe_forward(&mut self, vc: crate::cell::VcId, rm: &mut crate::cell::RmCell) {
         let q = self.queue.len();
         self.allocator.forward_rm(vc, rm, q);
-    }
-
-    fn metrics(&self) -> Option<&PortMetrics> {
-        self.series.as_ref().and_then(|s| s.metrics.as_ref())
     }
 
     /// The measurement interval this port was built with.

@@ -9,7 +9,6 @@
 use crate::cell::{Cell, VcId};
 use crate::msg::{AdminCmd, AtmMsg, Timer};
 use crate::port::Port;
-use phantom_metrics::registry::{CounterHandle, Registry};
 use phantom_sim::{Ctx, Node};
 
 /// Per-VC routing state: which output port the forward and backward
@@ -34,7 +33,6 @@ pub struct Switch {
     /// 90 000–91 562 stores ~1.5 k entries, not 91 563.
     routes: Vec<Option<VcRoute>>,
     route_base: u32,
-    routed_cells: Option<CounterHandle>,
 }
 
 impl Switch {
@@ -45,20 +43,12 @@ impl Switch {
             ports: Vec::new(),
             routes: Vec::new(),
             route_base: 0,
-            routed_cells: None,
         }
     }
 
     /// Switch name (for reports).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Register the switch-level routed-cells counter into `registry`,
-    /// labelled `switch=<name>`. Unbound switches skip the update.
-    pub fn bind_metrics(&mut self, registry: &Registry) {
-        let counter = registry.counter("atm_cells_routed_total", &[("switch", self.name.as_str())]);
-        self.routed_cells = Some(counter);
     }
 
     /// Add an output port, returning its index.
@@ -101,15 +91,7 @@ impl Switch {
         &self.ports[idx]
     }
 
-    /// Mutable access to a port.
-    pub fn port_mut(&mut self, idx: usize) -> &mut Port {
-        &mut self.ports[idx]
-    }
-
     fn handle_cell(&mut self, ctx: &mut Ctx<'_, AtmMsg>, mut cell: Cell) {
-        if let Some(c) = &self.routed_cells {
-            c.inc();
-        }
         // `wrapping_sub` sends a below-base VC to a huge index, which
         // `get` rejects like any other unrouted VC — the hot path stays
         // one subtract and one bounds-checked load.

@@ -56,6 +56,10 @@ fn usage() -> ExitCode {
     eprintln!("                                                 # file; --watch polls until done");
     eprintln!("       phantom resume <ckpt.jsonl> [--until MS]  # continue a checkpointed run;");
     eprintln!("                                                 # trace suffix is byte-identical");
+    eprintln!("       resume ... [run's flags but --seed, --analyze]  # the checkpoint fixes");
+    eprintln!(
+        "                                                 # the seed; --metrics is whole-run"
+    );
     eprintln!("       phantom diverge <a.jsonl> <b.jsonl> [--context N] [--out F]");
     eprintln!("                       [--checkpoints DIR]       # first divergent event + state");
     eprintln!("                                                 # diff; exit 0 same, 3 diverged");
@@ -232,8 +236,8 @@ fn trace_lint(path: &str) -> ExitCode {
             eprintln!("error: {path}:{line}: truncated: {msg}");
             ExitCode::from(EXIT_TRUNCATED)
         }
-        Err(LintError::Invalid { line, msg }) => {
-            eprintln!("error: {path}:{line}: {msg}");
+        Err(LintError::Invalid { msg, .. }) => {
+            eprintln!("error: {path}: {msg}");
             ExitCode::from(EXIT_INVALID)
         }
     }
@@ -249,7 +253,7 @@ fn analyze(path: &str, window_secs: Option<f64>, out: Option<&str>) -> Result<()
             .next()
             .ok_or_else(|| format!("{path}: empty file"))?,
     )
-    .map_err(|e| format!("{path}:1: {e}"))?;
+    .map_err(|e| format!("{path}: {e}"))?;
     let targets: AnalysisTargets = targets_for(&manifest.scenario);
     let window = window_secs.unwrap_or(phantom_analyze::DEFAULT_WINDOW_SECS);
     let report = analyze_trace_str(&text, targets, window).map_err(|e| format!("{path}: {e}"))?;
@@ -633,6 +637,22 @@ fn main() -> ExitCode {
     // checkpoint also starts with `{`, so this must branch before the
     // scene-vs-topology sniff below.
     if cmd == "resume" {
+        // Refused rather than dropped: the checkpoint fixes the seed, and
+        // a resume has only the suffix trace to analyze.
+        let refused = if seed.is_some() {
+            Some("--seed does not apply to resume: the checkpoint carries its run's seed")
+        } else if analyze {
+            Some(
+                "--analyze does not apply to resume: run `phantom analyze` on the \
+                 stitched trace (the original prefix followed by the resumed suffix)",
+            )
+        } else {
+            None
+        };
+        if let Some(e) = refused {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
         return match phantom_cli::resume(Path::new(path), until, &opts) {
             Ok(outcome) => {
                 print!("{}", outcome.rendered);

@@ -19,7 +19,7 @@
 //! The ordering keys do not depend on the shard count, so a checkpoint
 //! taken at one `--shards` value resumes at any other.
 
-use crate::exec::{run_driver, CheckpointEvery, RunOptions};
+use crate::exec::{run_driver, CheckpointEvery, RunArtifacts, RunOptions};
 use phantom_atm::AtmMsg;
 use phantom_metrics::json::{json_str, Json};
 use phantom_metrics::manifest::{fnv1a_64, Manifest, CHECKPOINT_SCHEMA};
@@ -433,7 +433,10 @@ pub struct ResumeOutcome {
 /// the uninterrupted trace's first `trace_offset` bytes with this file
 /// reproduces the uninterrupted trace byte-for-byte. Checkpointing during
 /// a resume works too (the cadence boundaries are absolute, so the
-/// emitted files match the uninterrupted run's).
+/// emitted files match the uninterrupted run's). `--metrics` and
+/// `--profile` are written as `phantom run` writes them; the metrics are
+/// read from the finished network, so they hold whole-run values equal
+/// to the uninterrupted run's.
 pub fn resume(
     ckpt: &Path,
     until_override: Option<SimTime>,
@@ -452,6 +455,7 @@ pub fn resume(
     // use another `--shards` than the checkpointed one.
     let _shard_guard = phantom_sim::ShardGuard::new(opts.shards);
     let scene = scene_of(&doc)?;
+    let artifacts = RunArtifacts::begin(opts);
     let plan = RunPlan {
         // The suffix trace continues the original file, which already
         // has its manifest line.
@@ -462,6 +466,7 @@ pub fn resume(
         until: Some(until),
         ..RunPlan::new(&scene, doc.seed)
     };
+    let manifest = plan.manifest();
     // Restore the checkpointed dynamics into the freshly compiled scene,
     // then drive it on to the horizon.
     let out = plan.run(|d| {
@@ -470,6 +475,7 @@ pub fn resume(
         let mut ckpt = CkptDriver::from_opts(opts, &scene, d.manifest, until, d.marker)?;
         run_driver(d.engine, until, opts, &scene.id, doc.seed, ckpt.as_mut())
     })?;
+    artifacts.write(&manifest, &out)?;
     Ok(ResumeOutcome {
         rendered: out.result.render(0),
         events: doc.snap.events_processed + out.events,

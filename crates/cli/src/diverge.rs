@@ -13,8 +13,7 @@
 //! `phantom-diverge/1` report.
 
 use crate::checkpoint::{nearest_checkpoint, read_checkpoint, scene_of};
-use phantom_analyze::jsonl::{parse_flat_object, Scalar};
-use phantom_metrics::json::{json_f64, json_str};
+use phantom_metrics::json::{json_f64, json_str, Json};
 use phantom_metrics::manifest::DIVERGE_SCHEMA;
 use phantom_scene::compile;
 use phantom_sim::{EngineSnapshot, SimTime};
@@ -147,13 +146,9 @@ pub fn diverge(
 /// of whichever side still has a line.
 fn divergence_instant_ns(a_line: Option<&str>, b_line: Option<&str>) -> Option<u64> {
     for line in [a_line, b_line].into_iter().flatten() {
-        let Ok(pairs) = parse_flat_object(line) else {
-            continue;
-        };
-        if let Some((_, Scalar::Num(t))) = pairs.iter().find(|(k, _)| k == "t") {
-            if t.is_finite() && *t >= 0.0 {
-                return Some((t * 1e9).round() as u64);
-            }
+        let t = Json::parse(line).ok().and_then(|j| j.get("t")?.as_f64());
+        if let Some(t) = t.filter(|t| t.is_finite() && *t >= 0.0) {
+            return Some((t * 1e9).round() as u64);
         }
     }
     None

@@ -9,8 +9,10 @@
 
 use crate::checkpoint::CkptDriver;
 use phantom_analyze::AnalysisTargets;
-use phantom_atm::network::{SessionId, TrunkIdx};
+use phantom_atm::network::{Network, SessionId, TrunkIdx};
+use phantom_atm::switch::Switch;
 use phantom_atm::units::{cps_to_mbps, mbps_to_cps};
+use phantom_atm::AtmMsg;
 use phantom_metrics::fairness::Session;
 use phantom_metrics::manifest::{Manifest, METRICS_SCHEMA, PROFILE_SCHEMA};
 use phantom_metrics::{jain_index, phantom_prediction, ProfileRecord, Registry, RunStatus, Table};
@@ -19,10 +21,12 @@ use phantom_scene::compile::ms_to_time;
 use phantom_scene::{analysis_targets, RunPlan, Scene, TrafficDecl};
 use phantom_sim::flight;
 use phantom_sim::probe::KindSet;
+use phantom_sim::stats::TimeSeries;
 use phantom_sim::telemetry::{self, RunCounters};
 use phantom_sim::{profile, Engine, SimDuration, SimTime};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::time::Instant;
 
 /// Everything one scene run produced.
 pub use phantom_scene::RunOutcome as SceneReport;
@@ -191,41 +195,105 @@ impl RunReport {
     }
 }
 
-/// Write the `phantom-profile/1` artifact for a finished profile
-/// bracket. A CLI user asked for this file explicitly, so failures are
-/// hard errors (unlike the sweep harness, which degrades silently).
-pub(crate) fn write_profile(
-    path: &Path,
-    manifest: &Manifest,
-    wall_secs: f64,
-    report: phantom_sim::ProfileReport,
-) -> Result<(), String> {
-    let record = ProfileRecord {
-        manifest: manifest.for_schema(PROFILE_SCHEMA),
-        wall_secs,
-        report,
-    };
-    record
-        .write(path)
-        .map_err(|e| format!("cannot write profile {}: {e}", path.display()))
+/// The files `phantom run` and `phantom resume` write once the run is
+/// over: the `--metrics` snapshot and the `--profile` engine profile.
+/// Begin it before the run (the profile bracket opens there) and
+/// [`RunArtifacts::write`] it on the finished run. A CLI user asked for
+/// these files explicitly, so failures are hard errors (unlike the sweep
+/// harness, which degrades silently).
+pub(crate) struct RunArtifacts<'o> {
+    opts: &'o RunOptions,
+    wall_start: Instant,
+    prof: Option<profile::ProfileMarker>,
 }
 
-/// Write the Prometheus-style snapshot to `path` and the JSON summary
-/// to `path` with `.json` appended.
-pub(crate) fn write_metrics(
-    path: &Path,
-    registry: &Registry,
-    manifest: &Manifest,
-) -> Result<(), String> {
-    ensure_parent(path)?;
-    std::fs::write(path, registry.to_prometheus(manifest))
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    let mut json_os = path.as_os_str().to_os_string();
-    json_os.push(".json");
-    let json_path = PathBuf::from(json_os);
-    std::fs::write(&json_path, registry.to_json(manifest))
-        .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
-    Ok(())
+impl<'o> RunArtifacts<'o> {
+    pub(crate) fn begin(opts: &'o RunOptions) -> Self {
+        RunArtifacts {
+            opts,
+            wall_start: Instant::now(),
+            prof: opts.profile.as_ref().map(|_| profile::begin_profile()),
+        }
+    }
+
+    /// Close the profile bracket and write what the options ask for,
+    /// stamped with the run's `manifest`.
+    pub(crate) fn write(self, manifest: &Manifest, out: &SceneReport) -> Result<(), String> {
+        let report = self.prof.map(profile::ProfileMarker::finish);
+        if let Some(path) = &self.opts.metrics {
+            let registry = metrics_snapshot(&out.engine, &out.net);
+            let manifest = manifest.for_schema(METRICS_SCHEMA);
+            ensure_parent(path)?;
+            std::fs::write(path, registry.to_prometheus(&manifest))
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            let mut json_os = path.as_os_str().to_os_string();
+            json_os.push(".json");
+            let json_path = PathBuf::from(json_os);
+            std::fs::write(&json_path, registry.to_json(&manifest))
+                .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
+        }
+        if let (Some(path), Some(report)) = (&self.opts.profile, report) {
+            let record = ProfileRecord {
+                manifest: manifest.for_schema(PROFILE_SCHEMA),
+                wall_secs: self.wall_start.elapsed().as_secs_f64(),
+                report,
+            };
+            record
+                .write(path)
+                .map_err(|e| format!("cannot write profile {}: {e}", path.display()))?;
+        }
+        Ok(())
+    }
+}
+
+/// The `--metrics` registry of a finished run, read from state the nodes
+/// keep anyway: per switch the cells it routed, then per trunk direction
+/// (labelled `link="A->B"`) the cells it transmitted and dropped and its
+/// queue, MACR and throughput series. Every routed cell was queued on, or
+/// dropped at, exactly one of the switch's ports, so the switch routed
+/// what its ports sent, still hold and dropped. A checkpoint carries all
+/// of this state, so a resumed run reports whole-run values.
+fn metrics_snapshot(engine: &Engine<AtmMsg>, net: &Network) -> Registry {
+    let registry = Registry::new();
+    for sh in &net.switches {
+        let sw = engine.node::<Switch>(sh.node);
+        let routed = (0..sw.port_count())
+            .map(|i| sw.port(i))
+            .map(|p| p.total_departures() + p.queue_len() as u64 + p.drops())
+            .sum();
+        registry
+            .counter("atm_cells_routed_total", &[("switch", sw.name())])
+            .add(routed);
+    }
+    for th in &net.trunks {
+        let a = engine.node::<Switch>(th.a_switch);
+        let b = engine.node::<Switch>(th.b_switch);
+        for (port, from, to) in [(a.port(th.a_port), a, b), (b.port(th.b_port), b, a)] {
+            let label = format!("{}->{}", from.name(), to.name());
+            let l: &[(&str, &str)] = &[("link", &label)];
+            registry
+                .counter("atm_tx_cells_total", l)
+                .add(port.total_departures());
+            registry
+                .counter("atm_dropped_cells_total", l)
+                .add(port.drops() + port.wire_losses);
+            let series = port
+                .series()
+                .expect("the builder records series on every trunk port");
+            let gauge = |name: &str, samples: &TimeSeries| {
+                let g = registry.gauge(name, l);
+                // Only MACR holds non-finite samples (an allocator
+                // without a fair share); the snapshot skips them.
+                for (t, v) in samples.iter().filter(|(_, v)| v.is_finite()) {
+                    g.set(SimTime::from_secs_f64(t), v);
+                }
+            };
+            gauge("atm_queue_cells", &series.queue);
+            gauge("atm_macr_cells_per_sec", &series.macr);
+            gauge("atm_throughput_cells_per_sec", &series.throughput);
+        }
+    }
+    registry
 }
 
 /// Drive the engine to `end` in heartbeat-sized slices, emitting the
@@ -331,18 +399,13 @@ pub fn run_scene_opts(
 ) -> Result<SceneReport, String> {
     // Scoped to this run; restored on drop, panics included.
     let _shard_guard = phantom_sim::ShardGuard::new(opts.shards);
-    let wall_start = std::time::Instant::now();
+    let artifacts = RunArtifacts::begin(opts);
     let plan = RunPlan {
         probes: opts.probe_spec(analyze_window.map(|w| (analysis_targets(scene), w))),
         ..RunPlan::new(scene, seed)
     };
     let manifest = plan.manifest();
-    let registry = opts.metrics.as_ref().map(|_| Registry::new());
-    let prof = opts.profile.as_ref().map(|_| profile::begin_profile());
     let outcome = plan.run(|d| {
-        if let Some(r) = &registry {
-            d.net.bind_metrics(d.engine, r);
-        }
         // Pre-drive in heartbeat slices only when liveness or
         // checkpointing was requested; otherwise the plan's standard
         // collection runs the whole horizon in one call.
@@ -352,14 +415,7 @@ pub fn run_scene_opts(
         }
         Ok(())
     })?;
-    let report = prof.map(profile::ProfileMarker::finish);
-
-    if let (Some(path), Some(reg)) = (&opts.metrics, &registry) {
-        write_metrics(path, reg, &manifest.for_schema(METRICS_SCHEMA))?;
-    }
-    if let (Some(path), Some(report)) = (&opts.profile, report) {
-        write_profile(path, &manifest, wall_start.elapsed().as_secs_f64(), report)?;
-    }
+    artifacts.write(&manifest, &outcome)?;
     Ok(outcome)
 }
 
@@ -790,7 +846,7 @@ run 400ms seed=3
         assert!(json.contains("\"metrics\": ["));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
-        let schemas = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../schemas");
+        let schemas = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../schemas");
         for (file, tag) in [
             ("phantom-trace-v1.md", "phantom-trace/1"),
             ("phantom-metrics-v1.md", "phantom-metrics/1"),

@@ -521,3 +521,114 @@ fn status_watch_survives_file_removal() {
     assert!(stdout.contains("run ended"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `phantom resume --metrics F --profile P` writes both files; the
+/// metrics are read from the finished network, so resuming a mid-run
+/// checkpoint reports the whole run, byte-identical to the
+/// uninterrupted run's snapshot.
+fn assert_resume_metrics(tag: &str, scene: &Scene, seed: u64) {
+    let dir = tmp(&format!("metrics-{tag}"));
+    let ck_dir = dir.join("ckpts");
+    let full = dir.join("full.prom");
+    run_scene_opts(
+        scene,
+        seed,
+        None,
+        &RunOptions {
+            metrics: Some(full.clone()),
+            checkpoint_every: Some(CheckpointEvery::SimSecs(0.1)),
+            checkpoint_dir: Some(ck_dir.clone()),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    let mut ckpts: Vec<PathBuf> = std::fs::read_dir(&ck_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    ckpts.sort();
+    let resumed = dir.join("resumed.prom");
+    let profile = dir.join("resumed.profile.json");
+    resume(
+        &ckpts[ckpts.len() / 2],
+        None,
+        &RunOptions {
+            metrics: Some(resumed.clone()),
+            profile: Some(profile.clone()),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    for ext in ["", ".json"] {
+        let read = |p: &Path| std::fs::read(format!("{}{ext}", p.display())).unwrap();
+        assert_eq!(
+            read(&resumed),
+            read(&full),
+            "{tag}: resumed .prom{ext} must equal the uninterrupted run's"
+        );
+    }
+    let profile = std::fs::read_to_string(&profile).unwrap();
+    assert!(
+        profile.starts_with("{\n  \"schema\": \"phantom-profile/1\""),
+        "{tag}: {profile}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_writes_whole_run_metrics_fig2() {
+    assert_resume_metrics("fig2", &load_scene("fig2.json"), 1996);
+}
+
+#[test]
+fn resume_writes_whole_run_metrics_kitchen_sink() {
+    let text = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/topologies/kitchen_sink.phantom"),
+    )
+    .unwrap();
+    let (scene, seed) = parse_str(&text).unwrap();
+    assert_resume_metrics("kitchen_sink", &scene, seed);
+}
+
+/// `phantom resume` refuses `--seed` (the checkpoint fixes it) and
+/// `--analyze` (which belongs on the stitched trace) by name, rather
+/// than accepting and dropping them.
+#[test]
+fn resume_refuses_seed_and_analyze() {
+    let dir = tmp("refuse");
+    let ck_dir = dir.join("ckpts");
+    run_scene_opts(
+        &load_scene("fig2.json"),
+        1996,
+        None,
+        &RunOptions {
+            checkpoint_every: Some(CheckpointEvery::SimSecs(0.2)),
+            checkpoint_dir: Some(ck_dir.clone()),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap();
+    let ckpt = std::fs::read_dir(&ck_dir)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    for (flags, named) in [
+        (&["--seed", "7"][..], "--seed"),
+        (&["--analyze"][..], "phantom analyze"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_phantom"))
+            .arg("resume")
+            .arg(&ckpt)
+            .args(flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flags:?} must be refused");
+        assert!(stderr.contains(named), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?}: nothing may run");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,10 +3,9 @@
 //! The workspace builds without serde, so every JSON artifact (bench
 //! records, manifests, metrics snapshots) is emitted by hand through
 //! [`json_str`] and [`json_f64`], keeping escaping rules in one place,
-//! and every non-trace document (scenes, bench records, checkpoints,
-//! analysis baselines, profiles, status files, daemon bodies) is read
-//! back through the tree [`Json`]. Only `phantom-trace/1` event lines
-//! take a faster flat path (`phantom_analyze::jsonl`).
+//! and every document (scenes, bench records, checkpoints, analysis
+//! baselines, profiles, status files, daemon bodies, and each line of a
+//! `phantom-trace/1` file) is read back through the tree [`Json`].
 //!
 //! Two properties of [`Json`] matter to its callers:
 //!

@@ -1,18 +1,17 @@
 //! A registry of named counters, gauges and histograms.
 //!
-//! Nodes (`atm::Port`, `atm::Switch`, `tcp::RPort`, …) register metrics
-//! at build time and hold cheap [`CounterHandle`]/[`GaugeHandle`] clones;
-//! the registry keeps the authoritative list and renders it after the
-//! run as a Prometheus-style text snapshot and a JSON summary, both
-//! stamped with the run's [`Manifest`].
+//! A reader registers metrics and fills them through the returned
+//! [`CounterHandle`]/[`GaugeHandle`]/[`HistogramHandle`]; the registry
+//! keeps the authoritative list, in registration order, and renders it as
+//! a Prometheus-style text snapshot and a JSON summary, both stamped with
+//! a [`Manifest`]. `phantom run --metrics` and `phantom resume --metrics`
+//! build one from the finished network's counters and series; the
+//! daemon's `/metrics` endpoint builds one per scrape from its own
+//! counters.
 //!
-//! Gauges are *sampled series*: nodes set them on their own sim-time
-//! cadence (the measurement interval), so a snapshot also carries each
-//! gauge's mean/max over the run, not just the final value. Handles are
-//! `Arc`-based (counters are atomics, series sit behind uncontended
-//! mutexes) so nodes holding them can run on intra-run shard worker
-//! threads; the registry itself stays with the run's driving thread,
-//! and parallel sweeps still give each worker its own registry.
+//! Gauges are *sampled series*: each sample is one point of a sim-time
+//! trace (a port's measurement interval), so a snapshot also carries each
+//! gauge's mean/max over the run, not just the final value.
 
 use crate::json::{json_f64, json_str};
 use crate::manifest::Manifest;

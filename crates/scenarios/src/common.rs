@@ -1,7 +1,7 @@
 //! Shared scenario plumbing: algorithm catalogs and standard topologies.
 
 use phantom_atm::allocator::RateAllocator;
-use phantom_atm::network::{Network, NetworkBuilder, SwIdx};
+use phantom_atm::network::{Network, NetworkBuilder};
 use phantom_atm::units::mbps_to_cps;
 use phantom_atm::{AtmMsg, Traffic};
 use phantom_baselines::{Aprc, Capc, Eprca, Erica, Osu};
@@ -261,9 +261,4 @@ pub fn trunk_utilization(
 ) -> f64 {
     let tp = net.trunk_throughput(engine, trunk).mean_after(from);
     tp / net.trunk_port(engine, trunk).capacity()
-}
-
-/// Utility: the canonical switch indices of [`single_bottleneck`].
-pub fn bottleneck_switches() -> (SwIdx, SwIdx) {
-    (SwIdx(0), SwIdx(1))
 }

@@ -9,20 +9,10 @@
 
 use crate::packet::{FlowId, Packet, TcpMsg, TcpTimer};
 use crate::qdisc::{QueueDiscipline, RouterMeasurement, Verdict};
-use phantom_metrics::registry::{CounterHandle, GaugeHandle, Registry};
 use phantom_sim::fifo::EnqueueResult;
 use phantom_sim::probe::{DropReason, ProbeEvent};
 use phantom_sim::stats::TimeSeries;
 use phantom_sim::{BoundedFifo, Ctx, Node, NodeId, SimDuration};
-
-/// Registry handles a router port updates when metrics are bound.
-struct RPortMetrics {
-    tx_pkts: CounterHandle,
-    dropped_pkts: CounterHandle,
-    queue_pkts: GaugeHandle,
-    macr: GaugeHandle,
-    throughput: GaugeHandle,
-}
 
 /// Per-flow routing state.
 #[derive(Clone, Copy, Debug)]
@@ -64,7 +54,6 @@ pub struct RPort {
     pub macr_series: TimeSeries,
     /// Throughput samples (bytes/s), one per interval.
     pub throughput_series: TimeSeries,
-    metrics: Option<RPortMetrics>,
 }
 
 impl RPort {
@@ -97,21 +86,7 @@ impl RPort {
             queue_series: TimeSeries::new(),
             macr_series: TimeSeries::new(),
             throughput_series: TimeSeries::new(),
-            metrics: None,
         }
-    }
-
-    /// Register this port's counters and gauges into `registry`, labelled
-    /// `link=<label>`. Unbound ports skip all metric updates.
-    pub fn bind_metrics(&mut self, registry: &Registry, label: &str) {
-        let l: &[(&str, &str)] = &[("link", label)];
-        self.metrics = Some(RPortMetrics {
-            tx_pkts: registry.counter("tcp_tx_pkts_total", l),
-            dropped_pkts: registry.counter("tcp_dropped_pkts_total", l),
-            queue_pkts: registry.gauge("tcp_queue_pkts", l),
-            macr: registry.gauge("tcp_macr_bytes_per_sec", l),
-            throughput: registry.gauge("tcp_throughput_bytes_per_sec", l),
-        });
     }
 
     /// Queue length in packets.
@@ -185,9 +160,6 @@ impl RPort {
                 }
             }
             EnqueueResult::Dropped => {
-                if let Some(m) = &self.metrics {
-                    m.dropped_pkts.inc();
-                }
                 ctx.emit(|| ProbeEvent::Drop {
                     port: me as u32,
                     qlen: self.queue.len() as u32,
@@ -213,9 +185,6 @@ impl RPort {
             Verdict::Drop => {
                 self.queue.note_policy_drop();
                 self.policy_drops += 1;
-                if let Some(m) = &self.metrics {
-                    m.dropped_pkts.inc();
-                }
                 ctx.emit(|| ProbeEvent::Drop {
                     port: me as u32,
                     qlen: self.queue.len() as u32,
@@ -242,9 +211,6 @@ impl RPort {
         let pkt = self.queue.pop().expect("TxDone with empty queue");
         self.queue_bytes -= u64::from(pkt.wire);
         self.departure_bytes += u64::from(pkt.wire);
-        if let Some(m) = &self.metrics {
-            m.tx_pkts.inc();
-        }
         ctx.emit(|| ProbeEvent::Dequeue {
             port: me as u32,
             qlen: self.queue.len() as u32,
@@ -277,13 +243,6 @@ impl RPort {
             self.macr_series.push(ctx.now(), fs);
         }
         self.throughput_series.push(ctx.now(), m.departure_rate());
-        if let Some(h) = &self.metrics {
-            h.queue_pkts.set(ctx.now(), self.queue.len() as f64);
-            h.throughput.set(ctx.now(), m.departure_rate());
-            if fs.is_finite() {
-                h.macr.set(ctx.now(), fs);
-            }
-        }
         if fs.is_finite() {
             ctx.emit(|| {
                 let t = self.qdisc.telemetry();
@@ -305,8 +264,8 @@ impl RPort {
     }
 
     /// Serialize the dynamic state for engine checkpoints (link target,
-    /// propagation delay, buffer bound and metric bindings are
-    /// construction-time configuration).
+    /// propagation delay and buffer bound are construction-time
+    /// configuration).
     pub fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
         w.scope("q", |w| self.queue.save(w, Packet::encode_str));
         w.u64("queue_bytes", self.queue_bytes);
@@ -354,7 +313,6 @@ pub struct Router {
     /// integers, so a flat vector turns the per-packet route lookup into
     /// one bounds-checked load instead of a hash.
     routes: Vec<Option<FlowRoute>>,
-    routed_pkts: Option<CounterHandle>,
 }
 
 impl Router {
@@ -364,20 +322,12 @@ impl Router {
             name: name.to_string(),
             ports: Vec::new(),
             routes: Vec::new(),
-            routed_pkts: None,
         }
     }
 
     /// Router name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Register the router-level routed-packets counter into `registry`,
-    /// labelled `router=<name>`. Unbound routers skip the update.
-    pub fn bind_metrics(&mut self, registry: &Registry) {
-        let counter = registry.counter("tcp_pkts_routed_total", &[("router", self.name.as_str())]);
-        self.routed_pkts = Some(counter);
     }
 
     /// Add an output port; returns its index.
@@ -403,20 +353,12 @@ impl Router {
         &self.ports[idx]
     }
 
-    /// Mutable port accessor (metric binding, capacity changes).
-    pub fn port_mut(&mut self, idx: usize) -> &mut RPort {
-        &mut self.ports[idx]
-    }
-
     /// Number of ports.
     pub fn port_count(&self) -> usize {
         self.ports.len()
     }
 
     fn handle_pkt(&mut self, ctx: &mut Ctx<'_, TcpMsg>, pkt: Packet) {
-        if let Some(c) = &self.routed_pkts {
-            c.inc();
-        }
         let route = self
             .routes
             .get(pkt.flow.0 as usize)

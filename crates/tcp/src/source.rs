@@ -135,11 +135,6 @@ impl TcpSource {
         self.rtt.srtt()
     }
 
-    /// The current CR stamp, bytes/s.
-    pub fn current_rate(&self) -> f64 {
-        self.cr
-    }
-
     fn serialization(&mut self, wire: u32) -> SimDuration {
         if wire != self.ser_wire {
             self.ser_wire = wire;
