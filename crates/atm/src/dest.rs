@@ -74,15 +74,6 @@ impl AbrDest {
     pub fn vc(&self) -> VcId {
         self.vc
     }
-
-    /// Mean delivered rate over the whole run so far, cells/s.
-    pub fn mean_rate(&self, elapsed_secs: f64) -> f64 {
-        if elapsed_secs <= 0.0 {
-            0.0
-        } else {
-            self.data_received as f64 / elapsed_secs
-        }
-    }
 }
 
 impl Node<AtmMsg> for AbrDest {
@@ -182,17 +173,6 @@ impl Node<AtmMsg> for AbrDest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_rate_requires_elapsed_time() {
-        let d = AbrDest::new(
-            VcId(1),
-            NodeId(0),
-            SimDuration::from_micros(1),
-            SimDuration::from_millis(5),
-        );
-        assert_eq!(d.mean_rate(0.0), 0.0);
-    }
 
     #[test]
     #[should_panic]
