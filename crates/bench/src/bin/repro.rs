@@ -33,10 +33,12 @@ use phantom_bench::compare::{compare, parse_bench_json, EXIT_BENCH_REGRESSION};
 use phantom_bench::{logger, DEFAULT_SEED};
 use phantom_metrics::manifest::{BENCH_SCHEMA, CSV_SCHEMA};
 use phantom_metrics::{BenchRecord, Manifest, RunRecord};
-use phantom_scenarios::registry::{all_experiments, dynamic_experiments, suggest_id};
+use phantom_scenarios::registry::{all_experiments, suggest_id};
 use phantom_scenarios::sweep::{run_sweep_with, SweepJob, SweepOptions, SweepRun};
 use phantom_scenarios::ExperimentOutput;
-use phantom_scene::{load_scene_dir, register_scene, scale_scene, shard_scale_scene, Scene};
+use phantom_scene::{
+    load_scene_dir, register_scene, registered_scenes, scale_scene, shard_scale_scene, Scene,
+};
 use phantom_sim::probe::KindSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -390,12 +392,12 @@ fn main() -> ExitCode {
         for e in all_experiments() {
             println!("  {:8} {}", e.id, e.describe);
         }
-        let dynamic = dynamic_experiments();
-        if !dynamic.is_empty() {
+        let loaded = registered_scenes();
+        if !loaded.is_empty() {
             println!();
             println!("scenes (loaded via --scenes, shadowing same-named built-ins):");
-            for (id, describe) in dynamic {
-                println!("  {id:8} {describe}");
+            for s in loaded {
+                println!("  {:8} {}", s.id, s.describe);
             }
         }
         return ExitCode::SUCCESS;

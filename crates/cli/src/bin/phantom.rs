@@ -21,8 +21,7 @@ use phantom_cli::parse::DEFAULT_SEED;
 use phantom_cli::{
     collect_report, compare_algorithms, parse_str, predict, run_scene_opts, sweep_u, RunOptions,
 };
-use phantom_scenarios::registry::all_experiments;
-use phantom_scenarios::shape::targets_for;
+use phantom_scenarios::registry::{all_experiments, targets_for};
 use phantom_scene::{check_error_json, check_ok_json, load_scene_dir, parse_scene, Json, Scene};
 use phantom_sim::probe::KindSet;
 use std::path::{Path, PathBuf};
@@ -244,8 +243,8 @@ fn trace_lint(path: &str) -> ExitCode {
 }
 
 /// `phantom analyze`: stream a trace file into a `phantom-analysis/1`
-/// report, using the per-figure expected-shape table when the trace's
-/// manifest names a known scenario.
+/// report, against the analysis targets of the scenario the trace's
+/// manifest names (`phantom_scenarios::registry::targets_for`).
 fn analyze(path: &str, window_secs: Option<f64>, out: Option<&str>) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let manifest = phantom_analyze::jsonl::parse_manifest_line(

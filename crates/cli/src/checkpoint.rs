@@ -24,7 +24,7 @@ use phantom_atm::AtmMsg;
 use phantom_metrics::json::{json_str, Json};
 use phantom_metrics::manifest::{fnv1a_64, Manifest, CHECKPOINT_SCHEMA};
 use phantom_metrics::write_atomic;
-use phantom_scenarios::probes::ProbeSpec;
+use phantom_scene::probes::ProbeSpec;
 use phantom_scene::{parse_scene, RunPlan, Scene};
 use phantom_sim::telemetry::{self, RunCounters, RunMarker};
 use phantom_sim::{Engine, EngineSnapshot, EventSnapshot, NodeSnapshot, SimTime};

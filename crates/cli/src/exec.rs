@@ -15,13 +15,14 @@ use phantom_atm::units::{cps_to_mbps, mbps_to_cps};
 use phantom_atm::AtmMsg;
 use phantom_metrics::fairness::Session;
 use phantom_metrics::manifest::{Manifest, METRICS_SCHEMA, PROFILE_SCHEMA};
-use phantom_metrics::{jain_index, phantom_prediction, ProfileRecord, Registry, RunStatus, Table};
-use phantom_scenarios::probes::{ensure_parent, ProbeSpec};
+use phantom_metrics::{
+    jain_index, phantom_prediction, GaugeSummary, ProfileRecord, Registry, RunStatus, Table,
+};
 use phantom_scene::compile::ms_to_time;
+use phantom_scene::probes::{ensure_parent, ProbeSpec};
 use phantom_scene::{analysis_targets, RunPlan, Scene, TrafficDecl};
 use phantom_sim::flight;
 use phantom_sim::probe::KindSet;
-use phantom_sim::stats::TimeSeries;
 use phantom_sim::telemetry::{self, RunCounters};
 use phantom_sim::{profile, Engine, SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -280,17 +281,13 @@ fn metrics_snapshot(engine: &Engine<AtmMsg>, net: &Network) -> Registry {
             let series = port
                 .series()
                 .expect("the builder records series on every trunk port");
-            let gauge = |name: &str, samples: &TimeSeries| {
-                let g = registry.gauge(name, l);
-                // Only MACR holds non-finite samples (an allocator
-                // without a fair share); the snapshot skips them.
-                for (t, v) in samples.iter().filter(|(_, v)| v.is_finite()) {
-                    g.set(SimTime::from_secs_f64(t), v);
-                }
-            };
-            gauge("atm_queue_cells", &series.queue);
-            gauge("atm_macr_cells_per_sec", &series.macr);
-            gauge("atm_throughput_cells_per_sec", &series.throughput);
+            for (name, samples) in [
+                ("atm_queue_cells", &series.queue),
+                ("atm_macr_cells_per_sec", &series.macr),
+                ("atm_throughput_cells_per_sec", &series.throughput),
+            ] {
+                registry.gauge(name, l, GaugeSummary::of_finite(samples));
+            }
         }
     }
     registry

@@ -10,9 +10,9 @@
 //! `ns / 10^3` microseconds or `ns / 10^6` milliseconds, which the scene
 //! compiler rounds back to the same nanosecond.
 
-use phantom_scene::model::ALGORITHMS;
 use phantom_scene::{
-    AnalysisDecl, EventKind, Scene, SessionDecl, TimelineEvent, TrafficDecl, TrunkDecl,
+    AnalysisDecl, AtmAlgorithm, EventKind, Scene, SessionDecl, TimelineEvent, TrafficDecl,
+    TrunkDecl,
 };
 use phantom_sim::SimDuration;
 use std::fmt;
@@ -287,13 +287,13 @@ pub fn parse_str(input: &str) -> Result<(Scene, u64), ParseError> {
                 if pos.len() != 1 {
                     return err(lineno, "usage: algorithm <name> [u=<factor>]");
                 }
-                if !ALGORITHMS.contains(&pos[0]) {
+                if AtmAlgorithm::from_name(pos[0]).is_none() {
                     return err(
                         lineno,
                         format!(
                             "unknown algorithm '{}' (one of {})",
                             pos[0],
-                            ALGORITHMS.join("|")
+                            AtmAlgorithm::names()
                         ),
                     );
                 }
@@ -465,7 +465,7 @@ run 500ms seed=7
 
     #[test]
     fn all_algorithms_parse() {
-        for alg in ALGORITHMS {
+        for (_, alg) in AtmAlgorithm::ALL {
             let src = format!(
                 "switch a\nswitch b\ntrunk a b 1mbps 1ms\nsession a b greedy\nalgorithm {alg}\n"
             );

@@ -53,7 +53,7 @@ pub use loghist::LogHistogram;
 pub use manifest::{fnv1a_64, Manifest};
 pub use profile_record::ProfileRecord;
 pub use registry::{
-    CounterHandle, GaugeHandle, HistogramHandle, Registry, PROMETHEUS_CONTENT_TYPE,
+    CounterHandle, GaugeSummary, HistogramHandle, Registry, PROMETHEUS_CONTENT_TYPE,
 };
 pub use report::{aggregate_runs, ExperimentResult, Table};
 pub use status::{write_atomic, RunStatus};

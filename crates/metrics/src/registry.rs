@@ -1,82 +1,108 @@
-//! A registry of named counters, gauges and histograms.
+//! A registry of named counters, gauges and histograms, for one thread.
 //!
 //! A reader registers metrics and fills them through the returned
-//! [`CounterHandle`]/[`GaugeHandle`]/[`HistogramHandle`]; the registry
-//! keeps the authoritative list, in registration order, and renders it as
-//! a Prometheus-style text snapshot and a JSON summary, both stamped with
-//! a [`Manifest`]. `phantom run --metrics` and `phantom resume --metrics`
-//! build one from the finished network's counters and series; the
-//! daemon's `/metrics` endpoint builds one per scrape from its own
-//! counters.
+//! [`CounterHandle`]/[`HistogramHandle`], or hands a gauge its
+//! [`GaugeSummary`]; the registry keeps the authoritative list, in
+//! registration order, and renders it as a Prometheus-style text
+//! snapshot and a JSON summary, both stamped with a [`Manifest`].
+//! `phantom run --metrics` and `phantom resume --metrics` build one from
+//! the finished network's counters and series; the daemon's `/metrics`
+//! endpoint builds one per scrape from its own counters. Both fill a
+//! fresh registry on one thread, so nothing in it is shared or locked.
 //!
-//! Gauges are *sampled series*: each sample is one point of a sim-time
-//! trace (a port's measurement interval), so a snapshot also carries each
-//! gauge's mean/max over the run, not just the final value.
+//! A gauge summarizes a *sampled series* (one point per measurement
+//! interval of a port), so a snapshot carries each gauge's mean/max over
+//! the run, not just the final value.
 
 use crate::json::{json_f64, json_str};
 use crate::manifest::Manifest;
 use phantom_sim::stats::{Histogram, TimeSeries};
-use phantom_sim::SimTime;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Handle to a registered monotonic counter.
 #[derive(Clone, Debug)]
-pub struct CounterHandle(Arc<AtomicU64>);
+pub struct CounterHandle(Rc<Cell<u64>>);
 
 impl CounterHandle {
     /// Increment by one.
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.set(self.0.get() + n);
     }
 
     /// Current count.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 }
 
-/// Handle to a registered gauge (a sampled time series).
-#[derive(Clone, Debug)]
-pub struct GaugeHandle(Arc<Mutex<TimeSeries>>);
+/// What a snapshot reports of a gauge: its last, mean and largest
+/// sample, and the number of samples.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct GaugeSummary {
+    /// The most recent sample (0 for an empty series).
+    pub last: f64,
+    /// Unweighted mean of the samples (0 for an empty series).
+    pub mean: f64,
+    /// Largest sample (0 for an empty series).
+    pub max: f64,
+    /// Number of samples.
+    pub samples: usize,
+}
 
-impl GaugeHandle {
-    /// Record the gauge's value at sim time `t` (non-decreasing).
-    pub fn set(&self, t: SimTime, v: f64) {
-        self.0.lock().expect("gauge poisoned").push(t, v);
+impl GaugeSummary {
+    /// A gauge read once: one sample of `v`.
+    pub fn value(v: f64) -> Self {
+        GaugeSummary {
+            last: v,
+            mean: v,
+            max: v,
+            samples: 1,
+        }
     }
 
-    /// The most recent sample, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.0.lock().expect("gauge poisoned").last()
+    /// Summarize the finite samples of `series` without copying it (a
+    /// MACR series holds a non-finite sample when its allocator has no
+    /// fair share yet). Mean and max are [`TimeSeries::mean`] and
+    /// [`TimeSeries::max`] over those samples.
+    pub fn of_finite(series: &TimeSeries) -> Self {
+        let finite = || series.values().iter().copied().filter(|v| v.is_finite());
+        let samples = finite().count();
+        if samples == 0 {
+            return GaugeSummary::default();
+        }
+        GaugeSummary {
+            last: finite().next_back().unwrap_or(0.0),
+            mean: finite().sum::<f64>() / samples as f64,
+            max: finite().fold(f64::NEG_INFINITY, f64::max),
+            samples,
+        }
     }
 }
 
 /// Handle to a registered histogram.
 #[derive(Clone, Debug)]
-pub struct HistogramHandle(Arc<Mutex<Histogram>>);
+pub struct HistogramHandle(Rc<RefCell<Histogram>>);
 
 impl HistogramHandle {
     /// Record one observation `v >= 0`.
     pub fn record(&self, v: f64) {
-        self.0.lock().expect("histogram poisoned").record(v);
+        self.0.borrow_mut().record(v);
     }
 }
 
 enum Slot {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<Mutex<TimeSeries>>),
-    Histogram(Arc<Mutex<Histogram>>),
+    Counter(Rc<Cell<u64>>),
+    Gauge(GaugeSummary),
+    Histogram(Rc<RefCell<Histogram>>),
 }
 
 struct Metric {
@@ -156,26 +182,14 @@ impl Registry {
 
     /// Register a counter named `name` with `labels`; returns its handle.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
-        check_name(name);
-        let cell = Arc::new(AtomicU64::new(0));
-        self.metrics.borrow_mut().push(Metric {
-            name: name.to_string(),
-            labels: own_labels(labels),
-            slot: Slot::Counter(Arc::clone(&cell)),
-        });
+        let cell = Rc::new(Cell::new(0));
+        self.push(name, labels, Slot::Counter(Rc::clone(&cell)));
         CounterHandle(cell)
     }
 
-    /// Register a gauge named `name` with `labels`; returns its handle.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> GaugeHandle {
-        check_name(name);
-        let series = Arc::new(Mutex::new(TimeSeries::new()));
-        self.metrics.borrow_mut().push(Metric {
-            name: name.to_string(),
-            labels: own_labels(labels),
-            slot: Slot::Gauge(Arc::clone(&series)),
-        });
-        GaugeHandle(series)
+    /// Register a gauge named `name` with `labels` and its summary.
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)], summary: GaugeSummary) {
+        self.push(name, labels, Slot::Gauge(summary));
     }
 
     /// Register a histogram of `nbins` bins of width `bin_width`.
@@ -186,14 +200,18 @@ impl Registry {
         bin_width: f64,
         nbins: usize,
     ) -> HistogramHandle {
+        let hist = Rc::new(RefCell::new(Histogram::new(bin_width, nbins)));
+        self.push(name, labels, Slot::Histogram(Rc::clone(&hist)));
+        HistogramHandle(hist)
+    }
+
+    fn push(&self, name: &str, labels: &[(&str, &str)], slot: Slot) {
         check_name(name);
-        let hist = Arc::new(Mutex::new(Histogram::new(bin_width, nbins)));
         self.metrics.borrow_mut().push(Metric {
             name: name.to_string(),
             labels: own_labels(labels),
-            slot: Slot::Histogram(Arc::clone(&hist)),
+            slot,
         });
-        HistogramHandle(hist)
     }
 
     /// Attach `# HELP` text to the metric family `name` (all samples of
@@ -264,7 +282,7 @@ impl Registry {
                             let _ = writeln!(out, "# TYPE {name} counter");
                             typed = true;
                         }
-                        let _ = writeln!(out, "{name}{suffix} {}", c.load(Ordering::Relaxed));
+                        let _ = writeln!(out, "{name}{suffix} {}", c.get());
                     }
                     Slot::Gauge(g) => {
                         if !typed {
@@ -272,9 +290,7 @@ impl Registry {
                             let _ = writeln!(out, "# TYPE {name} gauge");
                             typed = true;
                         }
-                        let g = g.lock().expect("gauge poisoned");
-                        let _ =
-                            writeln!(out, "{name}{suffix} {}", json_f64(g.last().unwrap_or(0.0)));
+                        let _ = writeln!(out, "{name}{suffix} {}", json_f64(g.last));
                     }
                     Slot::Histogram(h) => {
                         if !typed {
@@ -282,7 +298,7 @@ impl Registry {
                             let _ = writeln!(out, "# TYPE {name} histogram");
                             typed = true;
                         }
-                        let h = h.lock().expect("histogram poisoned");
+                        let h = h.borrow();
                         let bins = h.bins();
                         // Coalesce fine bins to at most ten exported
                         // boundaries; counts are cumulative per the
@@ -334,23 +350,19 @@ impl Registry {
             );
             let body = match &m.slot {
                 Slot::Counter(c) => {
-                    format!(
-                        "{head}, \"type\": \"counter\", \"value\": {}}}",
-                        c.load(Ordering::Relaxed)
-                    )
+                    format!("{head}, \"type\": \"counter\", \"value\": {}}}", c.get())
                 }
                 Slot::Gauge(g) => {
-                    let g = g.lock().expect("gauge poisoned");
                     format!(
                         "{head}, \"type\": \"gauge\", \"last\": {}, \"mean\": {}, \"max\": {}, \"samples\": {}}}",
-                        json_f64(g.last().unwrap_or(0.0)),
-                        json_f64(g.mean()),
-                        json_f64(g.max()),
-                        g.len()
+                        json_f64(g.last),
+                        json_f64(g.mean),
+                        json_f64(g.max),
+                        g.samples
                     )
                 }
                 Slot::Histogram(h) => {
-                    let h = h.lock().expect("histogram poisoned");
+                    let h = h.borrow();
                     format!(
                         "{head}, \"type\": \"histogram\", \"count\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
                         h.count(),
@@ -374,6 +386,7 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::manifest::METRICS_SCHEMA;
+    use phantom_sim::SimTime;
 
     fn manifest() -> Manifest {
         Manifest::new(METRICS_SCHEMA, "fig2", 1996, "cfg")
@@ -383,13 +396,17 @@ mod tests {
     fn counters_and_gauges_round_trip() {
         let reg = Registry::new();
         let c = reg.counter("cells_dropped_total", &[("trunk", "s1->s2")]);
-        let g = reg.gauge("trunk_queue_cells", &[("trunk", "s1->s2")]);
+        let mut series = TimeSeries::new();
+        series.push(SimTime::from_millis(1), 5.0);
+        series.push(SimTime::from_millis(2), 9.0);
+        reg.gauge(
+            "trunk_queue_cells",
+            &[("trunk", "s1->s2")],
+            GaugeSummary::of_finite(&series),
+        );
         c.inc();
         c.add(2);
-        g.set(SimTime::from_millis(1), 5.0);
-        g.set(SimTime::from_millis(2), 9.0);
         assert_eq!(c.get(), 3);
-        assert_eq!(g.last(), Some(9.0));
         assert_eq!(reg.len(), 2);
 
         let prom = reg.to_prometheus(&manifest());
@@ -495,11 +512,9 @@ tx_total{port=\"1\"} 2
         // order interleaves the families; the snapshot must regroup them.
         let reg = Registry::new();
         reg.counter("tx_total", &[("port", "0")]).inc();
-        reg.gauge("q_cells", &[("port", "0")])
-            .set(SimTime::ZERO, 1.0);
+        reg.gauge("q_cells", &[("port", "0")], GaugeSummary::value(1.0));
         reg.counter("tx_total", &[("port", "1")]).add(5);
-        reg.gauge("q_cells", &[("port", "1")])
-            .set(SimTime::ZERO, 2.0);
+        reg.gauge("q_cells", &[("port", "1")], GaugeSummary::value(2.0));
         let prom = reg.to_prometheus(&manifest());
         let tx0 = prom.find("tx_total{port=\"0\"}").unwrap();
         let tx1 = prom.find("tx_total{port=\"1\"}").unwrap();
@@ -517,7 +532,7 @@ tx_total{port=\"1\"} 2
         let reg = Registry::new();
         reg.counter("jobs_total", &[("state", "done")]).inc();
         reg.counter("jobs_total", &[("state", "failed")]).inc();
-        reg.gauge("queue_depth", &[]).set(SimTime::ZERO, 3.0);
+        reg.gauge("queue_depth", &[], GaugeSummary::value(3.0));
         reg.histogram("run_seconds", &[("worker", "0")], 0.5, 4)
             .record(0.7);
         reg.histogram("run_seconds", &[("worker", "1")], 0.5, 4)

@@ -1,81 +1,13 @@
 //! Shared scenario plumbing: algorithm catalogs and standard topologies.
 
-use phantom_atm::allocator::RateAllocator;
 use phantom_atm::network::{Network, NetworkBuilder};
-use phantom_atm::units::mbps_to_cps;
 use phantom_atm::{AtmMsg, Traffic};
-use phantom_baselines::{Aprc, Capc, Eprca, Erica, Osu};
-use phantom_core::{MacrConfig, PhantomAllocator, PhantomConfig, PhantomNi, ResidualMode};
+pub use phantom_scene::AtmAlgorithm;
 use phantom_sim::{Engine, SimDuration, SimTime};
 use phantom_tcp::qdisc::{
     DropTail, EfciMark, QueueDiscipline, Red, SelectiveDiscard, SelectiveQuench, SelectiveRed,
 };
 use phantom_tcp::{TcpMsg, TcpNetwork, TcpNetworkBuilder};
-
-/// The ATM rate-control algorithms under comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AtmAlgorithm {
-    /// Phantom, explicit-rate mode (the paper's default).
-    Phantom,
-    /// Phantom with fixed (non-adaptive) gains — the Fig. 12 ablation.
-    PhantomFixedAlpha,
-    /// Phantom measuring departures instead of arrivals — ablation.
-    PhantomDepartures,
-    /// Phantom, binary NI/CI mode (Fig. 11).
-    PhantomNi,
-    /// EPRCA \[Rob94\].
-    Eprca,
-    /// APRC \[ST94\].
-    Aprc,
-    /// CAPC \[Bar94\].
-    Capc,
-    /// ERICA \[JKV94\] — the unbounded-space (per-VC state) comparator.
-    Erica,
-    /// OSU \[JKV94\] — basic load-factor scaling, constant space.
-    Osu,
-}
-
-impl AtmAlgorithm {
-    /// Instantiate one per-port allocator.
-    pub fn boxed(self) -> Box<dyn RateAllocator> {
-        match self {
-            AtmAlgorithm::Phantom => Box::new(PhantomAllocator::paper()),
-            AtmAlgorithm::PhantomFixedAlpha => Box::new(PhantomAllocator::new(
-                PhantomConfig::paper().with_macr(MacrConfig::default().fixed_gains()),
-            )),
-            AtmAlgorithm::PhantomDepartures => {
-                let macr = MacrConfig {
-                    residual: ResidualMode::Departures,
-                    ..MacrConfig::default()
-                };
-                Box::new(PhantomAllocator::new(
-                    PhantomConfig::paper().with_macr(macr),
-                ))
-            }
-            AtmAlgorithm::PhantomNi => Box::new(PhantomNi::paper()),
-            AtmAlgorithm::Eprca => Box::new(Eprca::recommended()),
-            AtmAlgorithm::Aprc => Box::new(Aprc::recommended()),
-            AtmAlgorithm::Capc => Box::new(Capc::recommended()),
-            AtmAlgorithm::Erica => Box::new(Erica::recommended()),
-            AtmAlgorithm::Osu => Box::new(Osu::recommended()),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AtmAlgorithm::Phantom => "phantom",
-            AtmAlgorithm::PhantomFixedAlpha => "phantom-fixed-alpha",
-            AtmAlgorithm::PhantomDepartures => "phantom-departures",
-            AtmAlgorithm::PhantomNi => "phantom-ni",
-            AtmAlgorithm::Eprca => "eprca",
-            AtmAlgorithm::Aprc => "aprc",
-            AtmAlgorithm::Capc => "capc",
-            AtmAlgorithm::Erica => "erica",
-            AtmAlgorithm::Osu => "osu",
-        }
-    }
-}
 
 /// The TCP router mechanisms under comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,30 +94,6 @@ pub fn onoff_bottleneck(alg: AtmAlgorithm, seed: u64) -> (Engine<AtmMsg>, Networ
         alg,
         seed,
     )
-}
-
-/// Three-switch parking lot: one long session across both trunks plus one
-/// cross session per trunk.
-pub fn parking_lot(alg: AtmAlgorithm, seed: u64) -> (Engine<AtmMsg>, Network) {
-    let mut b = NetworkBuilder::new();
-    let s1 = b.switch("s1");
-    let s2 = b.switch("s2");
-    let s3 = b.switch("s3");
-    b.trunk(s1, s2, 150.0, SimDuration::from_micros(10));
-    b.trunk(s2, s3, 150.0, SimDuration::from_micros(10));
-    b.session(&[s1, s2, s3], Traffic::greedy()); // long
-    b.session(&[s1, s2], Traffic::greedy()); // cross 1
-    b.session(&[s2, s3], Traffic::greedy()); // cross 2
-    let mut engine = Engine::new(seed);
-    let net = b.build(&mut engine, &mut || alg.boxed());
-    (engine, net)
-}
-
-/// The path indices (`SwIdx`) used by [`parking_lot`], for building the
-/// max-min reference.
-pub fn parking_lot_paths() -> (Vec<f64>, Vec<Vec<usize>>) {
-    let c = mbps_to_cps(150.0);
-    (vec![c, c], vec![vec![0, 1], vec![0], vec![1]])
 }
 
 /// Standard 10 Mb/s TCP dumbbell with `n` flows, all starting at 0.

@@ -1,16 +1,17 @@
 //! String-keyed access to every experiment, for the `repro` CLI and the
 //! benchmark harness.
 //!
-//! Besides the static table of hand-coded figures there is a *dynamic*
-//! registry: scene files (`phantom-scene/1`) loaded at run time register
-//! their compiled runner here, so the sweep runner, the CLI and the
-//! bench harness drive scene-backed and hard-coded experiments through
-//! the same [`run_experiment`] entry path. A loaded scene may reuse a
-//! built-in id (e.g. `fig2`) — it then shadows the hard-coded twin,
-//! which is how the byte-identity gate compares the two.
+//! The catalog lists every figure and table of the paper. Most ATM
+//! figures are an embedded scene plus a reading ([`crate::catalog`]);
+//! the rest are Rust runners. Scenes registered at run time
+//! ([`phantom_scene::register_scene`]) come first: [`run_experiment`]
+//! and [`targets_for`] look them up before the catalog, so a loaded
+//! scene may reuse a catalog id (e.g. `fig2`) and shadow it.
 
+use crate::catalog::{self, SceneFigure};
+use phantom_analyze::AnalysisTargets;
 use phantom_metrics::{ExperimentResult, Table};
-use std::sync::{Arc, RwLock};
+use phantom_scene::{analysis_targets, registered_scene, registered_scenes, run_scene};
 
 /// The outcome of running one registry entry.
 pub enum ExperimentOutput {
@@ -65,8 +66,22 @@ pub struct Experiment {
     pub id: &'static str,
     /// One-line description (shown by `repro list`).
     pub describe: &'static str,
+    /// The embedded scene and reading of a scene-backed entry; the
+    /// scene's `analysis` block gives the entry's analysis targets.
+    pub scene: Option<&'static SceneFigure>,
     /// The runner.
     pub run: fn(u64) -> ExperimentOutput,
+}
+
+macro_rules! scene {
+    ($id:literal, $desc:literal, $fig:path) => {
+        Experiment {
+            id: $id,
+            describe: $desc,
+            scene: Some(&$fig),
+            run: |seed| ExperimentOutput::Figure($fig.run(seed)),
+        }
+    };
 }
 
 macro_rules! fig {
@@ -74,6 +89,7 @@ macro_rules! fig {
         Experiment {
             id: $id,
             describe: $desc,
+            scene: None,
             run: |seed| ExperimentOutput::Figure($path(seed)),
         }
     };
@@ -84,6 +100,7 @@ macro_rules! tab {
         Experiment {
             id: $id,
             describe: $desc,
+            scene: None,
             run: |seed| ExperimentOutput::Table($path(seed)),
         }
     };
@@ -92,43 +109,27 @@ macro_rules! tab {
 /// Every experiment in the reproduction, in paper order.
 pub fn all_experiments() -> Vec<Experiment> {
     vec![
-        fig!(
+        scene!(
             "fig2",
             "two greedy sessions converge (Phantom)",
-            crate::atm::basic::run
+            catalog::FIG2
         ),
-        fig!(
-            "fig3",
-            "staggered joins and leaves",
-            crate::atm::staggered::run
-        ),
-        fig!(
-            "fig4",
-            "on/off sessions under Phantom",
-            crate::atm::onoff::run
-        ),
-        fig!("fig5", "heterogeneous RTT fairness", crate::atm::rtt::run),
-        fig!(
-            "fig6",
-            "parking-lot max-min fairness",
-            crate::atm::parking_lot::run
-        ),
-        fig!(
+        scene!("fig3", "staggered joins and leaves", catalog::FIG3),
+        scene!("fig4", "on/off sessions under Phantom", catalog::FIG4),
+        scene!("fig5", "heterogeneous RTT fairness", catalog::FIG5),
+        scene!("fig6", "parking-lot max-min fairness", catalog::FIG6),
+        scene!(
             "fig7",
             "session restricted by another bottleneck",
-            crate::atm::restricted::run
+            catalog::FIG7
         ),
-        fig!("fig8", "fifty sessions at scale", crate::atm::many::run),
-        fig!(
+        scene!("fig8", "fifty sessions at scale", catalog::FIG8),
+        scene!(
             "fig9",
             "canonical utilization-factor-5 panels",
-            crate::atm::canonical::run
+            catalog::FIG9
         ),
-        fig!(
-            "fig11",
-            "NI/EFCI-bit variant of fig9",
-            crate::atm::efci::run
-        ),
+        scene!("fig11", "NI/EFCI-bit variant of fig9", catalog::FIG11),
         fig!(
             "fig12",
             "adaptive vs fixed gains (oscillation)",
@@ -160,26 +161,14 @@ pub fn all_experiments() -> Vec<Experiment> {
             "TCP Vegas unfairness and the Phantom remedy",
             crate::tcp::vegas::run
         ),
-        fig!(
-            "fig19",
-            "EPRCA on the basic scenario",
-            crate::atm::baselines::run_eprca_basic
-        ),
-        fig!(
-            "fig20",
-            "EPRCA under on/off load",
-            crate::atm::baselines::run_eprca_onoff
-        ),
-        fig!(
+        scene!("fig19", "EPRCA on the basic scenario", catalog::FIG19),
+        scene!("fig20", "EPRCA under on/off load", catalog::FIG20),
+        scene!(
             "fig21",
             "APRC under on/off load (300-cell threshold)",
-            crate::atm::baselines::run_aprc_onoff
+            catalog::FIG21
         ),
-        fig!(
-            "fig22",
-            "CAPC under on/off load vs Phantom",
-            crate::atm::baselines::run_capc_onoff
-        ),
+        scene!("fig22", "CAPC under on/off load vs Phantom", catalog::FIG22),
         fig!(
             "ext3",
             "TCP over an ABR-carried trunk (interconnection)",
@@ -234,56 +223,11 @@ pub fn all_experiments() -> Vec<Experiment> {
     ]
 }
 
-/// A runtime-registered experiment (a compiled scene file).
-#[derive(Clone)]
-pub struct DynamicExperiment {
-    /// Stable id (the scene's `id` field).
-    pub id: String,
-    /// One-line description.
-    pub describe: String,
-    /// The runner; must be a pure function of the seed.
-    pub run: Arc<dyn Fn(u64) -> ExperimentOutput + Send + Sync>,
-}
-
-fn dynamic_registry() -> &'static RwLock<Vec<DynamicExperiment>> {
-    static DYNAMIC: RwLock<Vec<DynamicExperiment>> = RwLock::new(Vec::new());
-    &DYNAMIC
-}
-
-/// Register (or replace, by id) a runtime experiment. Registered ids
-/// take precedence over the static table in [`run_experiment`], so a
-/// scene named `fig2` shadows the hard-coded figure.
-pub fn register_dynamic(exp: DynamicExperiment) {
-    let mut reg = dynamic_registry().write().unwrap();
-    if let Some(slot) = reg.iter_mut().find(|e| e.id == exp.id) {
-        *slot = exp;
-    } else {
-        reg.push(exp);
-    }
-}
-
-/// `(id, describe)` of every runtime-registered experiment, in
-/// registration order.
-pub fn dynamic_experiments() -> Vec<(String, String)> {
-    dynamic_registry()
-        .read()
-        .unwrap()
-        .iter()
-        .map(|e| (e.id.clone(), e.describe.clone()))
-        .collect()
-}
-
-/// Run one experiment by id — dynamic (scene-backed) entries first,
-/// then the static table. `None` if the id is unknown.
+/// Run one experiment by id — registered scenes first, then the
+/// catalog. `None` if the id is unknown.
 pub fn run_experiment(id: &str, seed: u64) -> Option<ExperimentOutput> {
-    let dynamic = dynamic_registry()
-        .read()
-        .unwrap()
-        .iter()
-        .find(|e| e.id == id)
-        .map(|e| Arc::clone(&e.run));
-    if let Some(run) = dynamic {
-        return Some(run(seed));
+    if let Some(scene) = registered_scene(id) {
+        return Some(ExperimentOutput::Figure(run_scene(&scene, seed)));
     }
     all_experiments()
         .into_iter()
@@ -291,12 +235,27 @@ pub fn run_experiment(id: &str, seed: u64) -> Option<ExperimentOutput> {
         .map(|e| (e.run)(seed))
 }
 
-/// Every currently valid experiment id: static table plus loaded scenes.
+/// The analysis targets `--analyze` checks a run of `id` against: the
+/// registered scene's, else the catalog entry's embedded scene's, else
+/// target-free analysis (tables, TCP figures, multi-run figures).
+pub fn targets_for(id: &str) -> AnalysisTargets {
+    if let Some(scene) = registered_scene(id) {
+        return analysis_targets(&scene);
+    }
+    all_experiments()
+        .into_iter()
+        .find(|e| e.id == id)
+        .and_then(|e| e.scene)
+        .map(|fig| analysis_targets(&fig.parse()))
+        .unwrap_or_default()
+}
+
+/// Every currently valid experiment id: the catalog plus registered scenes.
 pub fn known_ids() -> Vec<String> {
     let mut ids: Vec<String> = all_experiments().iter().map(|e| e.id.to_string()).collect();
-    for (id, _) in dynamic_experiments() {
-        if !ids.contains(&id) {
-            ids.push(id);
+    for scene in registered_scenes() {
+        if !ids.contains(&scene.id) {
+            ids.push(scene.id.clone());
         }
     }
     ids
@@ -360,6 +319,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phantom_scene::parse_scene;
 
     #[test]
     fn registry_ids_are_unique_and_complete() {
@@ -400,42 +360,37 @@ mod tests {
         assert_eq!(suggest_id("fíg2").as_deref(), Some("fig2"));
         assert!(suggest_id("日本語の実験名😀").is_none());
 
-        // A registered unicode id is itself suggestible from an ASCII
-        // near-miss.
-        register_dynamic(DynamicExperiment {
-            id: "métro-test".into(),
-            describe: "unicode id stub".into(),
-            run: Arc::new(|_| {
-                ExperimentOutput::Figure(ExperimentResult::new("métro-test", "stub"))
-            }),
-        });
-        assert_eq!(suggest_id("metro-test").as_deref(), Some("métro-test"));
+        // A unicode id is itself suggestible from an ASCII near-miss
+        // (scene ids are ASCII, but other id namespaces need not be).
+        let ids = known_ids().into_iter().chain(["métro-test".to_string()]);
+        assert_eq!(
+            suggest_from(ids, "metro-test").as_deref(),
+            Some("métro-test")
+        );
     }
 
     #[test]
     fn dynamic_entries_dispatch_and_list() {
-        register_dynamic(DynamicExperiment {
-            id: "dyn-test".into(),
-            describe: "a runtime-registered stub".into(),
-            run: Arc::new(|seed| {
-                let mut r = ExperimentResult::new("dyn-test", "stub");
-                r.add_metric("seed", seed as f64);
-                ExperimentOutput::Figure(r)
-            }),
-        });
-        let out = run_experiment("dyn-test", 7).expect("dynamic id dispatches");
+        let scene = |describe: &str| {
+            parse_scene(&format!(
+                r#"{{"schema":"phantom-scene/1","id":"dyn-test","describe":"{describe}",
+                "algorithm":"phantom","duration_ms":5,"switches":["a","b"],
+                "trunks":[{{"a":"a","b":"b","mbps":150,"prop_us":10}}],
+                "sessions":[{{"id":"s","path":["a","b"],"traffic":{{"kind":"greedy"}}}}],
+                "bottleneck":0}}"#
+            ))
+            .unwrap()
+        };
+        phantom_scene::register_scene(scene("a runtime-registered scene"));
+        let out = run_experiment("dyn-test", 7).expect("registered id dispatches");
         assert_eq!(out.id(), "dyn-test");
-        assert!(dynamic_experiments().iter().any(|(id, _)| id == "dyn-test"));
         assert!(known_ids().iter().any(|id| id == "dyn-test"));
+        assert_eq!(targets_for("dyn-test").tail_from_secs, 0.0025);
         // replacement by id, not duplication
-        register_dynamic(DynamicExperiment {
-            id: "dyn-test".into(),
-            describe: "replaced".into(),
-            run: Arc::new(|_| ExperimentOutput::Figure(ExperimentResult::new("dyn-test", "r"))),
-        });
-        let n = dynamic_experiments()
+        phantom_scene::register_scene(scene("replaced"));
+        let n = registered_scenes()
             .iter()
-            .filter(|(id, _)| id == "dyn-test")
+            .filter(|s| s.id == "dyn-test")
             .count();
         assert_eq!(n, 1);
     }

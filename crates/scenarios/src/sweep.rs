@@ -9,12 +9,11 @@
 //!
 //! Uses only `std::thread::scope`; no thread-pool dependency.
 
-use crate::probes::{ProbeSpec, ProbeStack};
-use crate::registry::{run_experiment, ExperimentOutput};
-use crate::shape::targets_for;
+use crate::registry::{run_experiment, targets_for, ExperimentOutput};
 use phantom_analyze::AnalysisReport;
 use phantom_metrics::manifest::{Manifest, PROFILE_SCHEMA, TRACE_SCHEMA};
 use phantom_metrics::{ProfileRecord, RunStatus};
+use phantom_scene::probes::{ProbeSpec, ProbeStack};
 use phantom_sim::flight;
 use phantom_sim::probe::KindSet;
 use phantom_sim::telemetry::{self, RunCounters};
@@ -497,7 +496,6 @@ mod tests {
     /// when the written trace is filtered (the tap sees everything).
     #[test]
     fn live_analysis_matches_file_analysis_at_any_jobs_level() {
-        use crate::shape::targets_for;
         let dir = std::env::temp_dir().join(format!("phantom-sweep-live-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let opts = SweepOptions {

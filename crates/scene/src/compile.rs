@@ -1,11 +1,10 @@
 //! Lowering a validated [`Scene`] onto the simulator.
 //!
-//! The compiler replays the exact builder sequence the hard-coded
-//! scenario runners use — switches, then trunks, then sessions, then
-//! `NetworkBuilder::build` on a fresh `Engine::new(seed)` — so a scene
-//! that transliterates a built-in figure produces a byte-identical
-//! event stream (and therefore byte-identical traces and analysis
-//! reports) at any `--jobs` level.
+//! The compiler drives the builder in declaration order — switches,
+//! then trunks, then sessions, then `NetworkBuilder::build` on a fresh
+//! `Engine::new(seed)` — so a compiled scene is a pure function of
+//! `(scene, seed)`, and its event stream (and therefore its traces and
+//! analysis reports) is byte-identical at any `--jobs` level.
 //!
 //! Timeline events are resolved at compile time:
 //!
@@ -17,13 +16,13 @@
 //!   of the trunk, making a dynamic run a pure function of
 //!   `(scene, seed)`.
 
+use crate::algorithm::AtmAlgorithm;
 use crate::model::{EventKind, GenerateDecl, GenerateKind, Scene, TrafficDecl};
 use phantom_atm::allocator::RateAllocator;
 use phantom_atm::network::{Network, NetworkBuilder, SessionId, SwIdx, TrunkIdx};
 use phantom_atm::units::mbps_to_cps;
 use phantom_atm::{AdminCmd, AtmMsg, Traffic};
 use phantom_core::{MacrConfig, PhantomAllocator, PhantomConfig};
-use phantom_scenarios::common::AtmAlgorithm;
 use phantom_sim::{Engine, SimDuration, SimTime};
 
 /// A scene lowered onto a ready-to-run engine.
@@ -43,8 +42,7 @@ pub struct CompiledScene {
 }
 
 /// Exact `ms → SimTime` conversion: agrees bit-for-bit with
-/// `SimTime::from_millis` on integral inputs, so scene twins of the
-/// hard-coded figures run the identical horizon.
+/// `SimTime::from_millis` on integral inputs.
 pub fn ms_to_time(ms: f64) -> SimTime {
     SimTime((ms * 1e6).round() as u64)
 }
@@ -57,26 +55,15 @@ fn us_to_dur(us: f64) -> SimDuration {
     SimDuration((us * 1e3).round() as u64)
 }
 
-/// Resolve a scene algorithm name (already validated against
-/// [`crate::model::ALGORITHMS`]).
-pub fn algorithm(name: &str) -> AtmAlgorithm {
-    match name {
-        "phantom" => AtmAlgorithm::Phantom,
-        "phantom-fixed-alpha" => AtmAlgorithm::PhantomFixedAlpha,
-        "phantom-departures" => AtmAlgorithm::PhantomDepartures,
-        "phantom-ni" => AtmAlgorithm::PhantomNi,
-        "eprca" => AtmAlgorithm::Eprca,
-        "aprc" => AtmAlgorithm::Aprc,
-        "capc" => AtmAlgorithm::Capc,
-        "erica" => AtmAlgorithm::Erica,
-        "osu" => AtmAlgorithm::Osu,
-        other => panic!("unvalidated scene algorithm `{other}`"),
-    }
+/// The algorithm of a validated scene.
+fn algorithm(scene: &Scene) -> AtmAlgorithm {
+    AtmAlgorithm::from_name(&scene.algorithm)
+        .unwrap_or_else(|| panic!("unvalidated scene algorithm `{}`", scene.algorithm))
 }
 
 /// The allocator for one direction of trunk `t`, honouring scene-wide
 /// and per-trunk Phantom overrides. With no overrides this is exactly
-/// `alg.boxed()` — the same construction the hard-coded runners use.
+/// `alg.boxed()`.
 fn make_allocator(scene: &Scene, alg: AtmAlgorithm, t: usize) -> Box<dyn RateAllocator> {
     let trunk = &scene.trunks[t];
     let u = trunk.u.or(scene.u);
@@ -161,7 +148,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// 10^5–10^6 sessions. Only a 3-session sample (first/middle/last) is
 /// traced in the standard panels.
 fn compile_generated(scene: &Scene, g: &GenerateDecl, seed: u64) -> CompiledScene {
-    let alg = algorithm(&scene.algorithm);
+    let alg = algorithm(scene);
     let n = g.n_sessions();
     let mut traced = vec![SessionId(0), SessionId(n / 2), SessionId(n - 1)];
     traced.dedup();
@@ -262,7 +249,7 @@ pub fn compile(scene: &Scene, seed: u64) -> CompiledScene {
     if let Some(g) = &scene.generate {
         return compile_generated(scene, g, seed);
     }
-    let alg = algorithm(&scene.algorithm);
+    let alg = algorithm(scene);
     let mut b = NetworkBuilder::new().cbr_priority(scene.cbr_priority);
     let sw: Vec<SwIdx> = scene.switches.iter().map(|n| b.switch(n)).collect();
     // Name → index resolved once (first declaration wins, matching the

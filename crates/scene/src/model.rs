@@ -13,25 +13,13 @@
 //! `sessions[2].path[1]: no trunk between ...`), so a typo in a scene
 //! file can never silently change the experiment.
 
+use crate::algorithm::AtmAlgorithm;
 use phantom_metrics::json::Json;
 use phantom_metrics::json::{json_f64, json_str};
 use std::fmt::Write as _;
 
 /// Schema tag of scene files.
 pub const SCENE_SCHEMA: &str = "phantom-scene/1";
-
-/// The algorithm names a scene may request (the registry's catalog).
-pub const ALGORITHMS: [&str; 9] = [
-    "phantom",
-    "phantom-fixed-alpha",
-    "phantom-departures",
-    "phantom-ni",
-    "eprca",
-    "aprc",
-    "capc",
-    "erica",
-    "osu",
-];
 
 /// A parsed scene.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,7 +28,7 @@ pub struct Scene {
     pub id: String,
     /// One-line description.
     pub describe: String,
-    /// Rate-control algorithm name (one of [`ALGORITHMS`]).
+    /// Rate-control algorithm name (one of [`AtmAlgorithm::ALL`]).
     pub algorithm: String,
     /// Run length in milliseconds.
     pub duration_ms: f64,
@@ -1182,11 +1170,11 @@ impl Scene {
                 self.id
             ));
         }
-        if !ALGORITHMS.contains(&self.algorithm.as_str()) {
+        if AtmAlgorithm::from_name(&self.algorithm).is_none() {
             return Err(format!(
                 "algorithm: unknown `{}` (one of {})",
                 self.algorithm,
-                ALGORITHMS.join("|")
+                AtmAlgorithm::names()
             ));
         }
         pos(self.duration_ms, "duration_ms")?;

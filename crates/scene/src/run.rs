@@ -1,39 +1,60 @@
-//! Running scenes and registering them as first-class experiments.
+//! Running scenes and registering them as experiments.
 //!
 //! [`RunPlan`] is the one scene-run pipeline: compile, probe, drive,
-//! collect.
+//! collect the standard figure panels.
 //!
-//! [`register_scene`] wires a parsed scene into the scenario registry
-//! (so `repro <id>` and the sweep runner treat it exactly like a
-//! built-in figure) and into the shape registry (so `--analyze` checks
-//! it against the targets its own topology and timeline predict,
-//! including per-perturbation-epoch fixed points).
+//! [`register_scene`] keeps a parsed scene under its id, so `repro <id>`,
+//! the sweep runner and `--analyze` treat it exactly like a catalog
+//! figure (and a registered scene with a catalog id shadows that id).
 
 use crate::compile::{compile, CompiledScene};
 use crate::model::Scene;
+use crate::probes::{ProbeSpec, ProbeStack};
 use phantom_analyze::{AnalysisReport, AnalysisTargets, EpochTarget};
-use phantom_atm::network::Network;
-use phantom_atm::units::mbps_to_cps;
+use phantom_atm::dest::AbrDest;
+use phantom_atm::network::{Network, SessionId, TrunkIdx};
+use phantom_atm::units::{cps_to_mbps, mbps_to_cps};
 use phantom_atm::AtmMsg;
 use phantom_core::fixed_point::single_link_macr;
 use phantom_metrics::manifest::{Manifest, TRACE_SCHEMA};
 use phantom_metrics::{ExperimentResult, ScaleRecord, ShardScalePoint};
-use phantom_scenarios::atm::run_standard;
-use phantom_scenarios::probes::{ProbeSpec, ProbeStack};
-use phantom_scenarios::registry::{register_dynamic, DynamicExperiment, ExperimentOutput};
-use phantom_scenarios::shape::register_shape;
+use phantom_sim::stats::TimeSeries;
 use phantom_sim::telemetry::{self, RunCounters, RunMarker};
 use phantom_sim::{Engine, SimTime};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// The paper's default utilization factor, used when a scene derives
 /// MACR targets from session counts without overriding `u`.
 const DEFAULT_U: f64 = 5.0;
 
+/// How the standard figure panels read a finished run. The default
+/// plots every ABR session and averages over the scene's analysis tail.
+#[derive(Clone, Copy, Debug)]
+pub struct Panels<'a> {
+    /// The result's provenance note.
+    pub note: &'a str,
+    /// Sessions whose allowed rate is plotted; the first also supplies
+    /// the cell-delay metrics. `None` plots every ABR session.
+    pub traced: Option<&'a [SessionId]>,
+    /// Start (seconds) of the tail the whole-run metrics average over;
+    /// `None` uses the scene's analysis tail.
+    pub tail_from_secs: Option<f64>,
+}
+
+impl Default for Panels<'_> {
+    fn default() -> Self {
+        Panels {
+            note: "compiled from a phantom-scene/1 file",
+            traced: None,
+            tail_from_secs: None,
+        }
+    }
+}
+
 /// One run of a scene: compile, install the probes, drive the engine,
 /// collect the standard figure. Every harness that runs a scene — the
-/// sweep's registered closure ([`run_scene`]), `phantom run` and
+/// catalog, registered scenes ([`run_scene`]), `phantom run` and
 /// `phantom resume` on a scene file, and the daemon's workers — goes
 /// through [`RunPlan::run`], so their traces and reports agree byte for
 /// byte by construction.
@@ -46,6 +67,8 @@ pub struct RunPlan<'a> {
     pub probes: ProbeSpec,
     /// Horizon override; `None` runs to the scene's own duration.
     pub until: Option<SimTime>,
+    /// How the standard panels read the finished run.
+    pub panels: Panels<'a>,
 }
 
 /// What the drive closure of [`RunPlan::run`] is handed: the compiled
@@ -89,6 +112,7 @@ impl<'a> RunPlan<'a> {
             seed,
             probes: ProbeSpec::default(),
             until: None,
+            panels: Panels::default(),
         }
     }
 
@@ -101,7 +125,7 @@ impl<'a> RunPlan<'a> {
     /// Run the plan. `drive` may advance the engine towards the horizon
     /// in any slices it likes (heartbeats, checkpoints, cancellation);
     /// slicing never changes the event order, and whatever it leaves
-    /// undone the standard collection runs before reading the panels.
+    /// undone runs before the panels are read.
     pub fn run(
         self,
         drive: impl FnOnce(Drive<'_>) -> Result<(), String>,
@@ -127,16 +151,16 @@ impl<'a> RunPlan<'a> {
             manifest: &manifest,
             marker: &marker,
         })?;
-        let (engine, net, result) = run_standard(
-            engine,
-            net,
-            until,
-            &scene.id,
-            &scene.describe,
-            "compiled from a phantom-scene/1 file",
+        engine.run_until(until);
+        let mut result = ExperimentResult::new(&scene.id, &scene.describe);
+        result.add_note(self.panels.note);
+        collect_standard(
+            &engine,
+            &net,
+            &mut result,
             bottleneck,
-            &traced,
-            tail_from_secs,
+            self.panels.traced.unwrap_or(&traced),
+            self.panels.tail_from_secs.unwrap_or(tail_from_secs),
         );
         let events = phantom_sim::thread_events_dispatched() - events_before;
         let counters = marker.finish();
@@ -151,13 +175,98 @@ impl<'a> RunPlan<'a> {
     }
 }
 
-/// Compile and run a validated scene, producing the same figure output
-/// (standard panels + metrics) as the hard-coded runners.
+/// Attach the standard figure panels — queue length, MACR, the traced
+/// sessions' allowed rates (rates in Mb/s) — plus the standard metrics,
+/// mirroring the triple panels of the paper's ATM figures.
+fn collect_standard(
+    engine: &Engine<AtmMsg>,
+    net: &Network,
+    result: &mut ExperimentResult,
+    trunk: TrunkIdx,
+    traced: &[SessionId],
+    tail_from: f64,
+) {
+    let in_mbps = |series: &TimeSeries| {
+        let mut out = TimeSeries::new();
+        for (t, v) in series.iter() {
+            out.push(SimTime::from_secs_f64(t), cps_to_mbps(v));
+        }
+        out
+    };
+    result.add_series("macr_mbps", in_mbps(net.trunk_macr(engine, trunk)));
+    result.add_series("queue_cells", net.trunk_queue(engine, trunk).clone());
+    for &s in traced {
+        result.add_series(
+            &format!("acr_mbps_s{}", s.0),
+            in_mbps(net.session_acr(engine, s)),
+        );
+    }
+
+    let port = net.trunk_port(engine, trunk);
+    let throughput = net.trunk_throughput(engine, trunk).mean_after(tail_from);
+    result.add_metric("utilization", throughput / port.capacity());
+    result.add_metric(
+        "mean_queue_cells",
+        net.trunk_queue(engine, trunk).mean_after(tail_from),
+    );
+    result.add_metric("max_queue_cells", port.queue_high_water() as f64);
+    result.add_metric("cell_drops", port.drops() as f64);
+
+    let rates: Vec<f64> = (0..net.sessions.len())
+        .map(|s| net.session_rate(engine, SessionId(s)).mean_after(tail_from))
+        .collect();
+    result.add_metric("jain_index", phantom_metrics::jain_index(&rates));
+
+    // Cell-delay statistics of the first traced session (propagation +
+    // queueing along the path).
+    if let Some(&s) = traced.first() {
+        let dest = engine.node::<AbrDest>(net.sessions[s.0].dest);
+        if let Some(h) = dest.delay_hist.as_deref().filter(|h| h.count() > 0) {
+            result.add_metric("cell_delay_mean_ms", h.mean());
+            result.add_metric("cell_delay_p99_ms", h.quantile(0.99));
+        }
+    }
+}
+
+/// Compile and run a validated scene with the default panels.
 pub fn run_scene(scene: &Scene, seed: u64) -> ExperimentResult {
     RunPlan::new(scene, seed)
         .run(|_| Ok(()))
         .expect("an unobserved run does no I/O")
         .result
+}
+
+/// One compiled scene run to its horizon, with only the run timed.
+struct MeasuredRun {
+    engine: Engine<AtmMsg>,
+    net: Network,
+    events: u64,
+    wall_secs: f64,
+    counters: RunCounters,
+}
+
+/// Compile `scene` and run it to its own horizon, timing the run but
+/// not the build.
+fn measured_run(scene: &Scene, seed: u64) -> MeasuredRun {
+    let CompiledScene {
+        mut engine,
+        net,
+        until,
+        ..
+    } = compile(scene, seed);
+    let marker = telemetry::begin_run();
+    let events_before = phantom_sim::thread_events_dispatched();
+    let start = std::time::Instant::now();
+    engine.run_until(until);
+    let wall_secs = start.elapsed().as_secs_f64();
+    let events = phantom_sim::thread_events_dispatched() - events_before;
+    MeasuredRun {
+        engine,
+        net,
+        events,
+        wall_secs,
+        counters: marker.finish(),
+    }
 }
 
 /// Build and run `scene` once as a *scale probe*: measure resident-set
@@ -176,34 +285,26 @@ pub fn run_scene(scene: &Scene, seed: u64) -> ExperimentResult {
 /// process (the `repro --scale` probe runs after the sweep, serially)
 /// or the number includes unrelated allocations.
 pub fn scale_scene(scene: &Scene, seed: u64) -> (ScaleRecord, Vec<phantom_sim::ArenaStats>) {
-    let rss0 = phantom_sim::telemetry::rss_bytes();
-    let c = compile(scene, seed);
-    let mut engine = c.engine;
-    let marker = phantom_sim::telemetry::begin_run();
-    let events_before = phantom_sim::thread_events_dispatched();
-    let start = std::time::Instant::now();
-    engine.run_until(c.until);
-    let wall_secs = start.elapsed().as_secs_f64();
-    let events = phantom_sim::thread_events_dispatched() - events_before;
-    let counters = marker.finish();
-    let rss1 = phantom_sim::telemetry::rss_bytes();
-    let stats = engine.arena_stats();
+    let rss0 = telemetry::rss_bytes();
+    let run = measured_run(scene, seed);
+    let rss1 = telemetry::rss_bytes();
+    let stats = run.engine.arena_stats();
     let record = ScaleRecord {
         scene: scene.id.clone(),
         seed,
-        sessions: c.net.sessions.len() as u64,
+        sessions: run.net.sessions.len() as u64,
         nodes: stats.iter().map(|s| s.nodes as u64).sum(),
-        events,
-        wall_secs,
+        events: run.events,
+        wall_secs: run.wall_secs,
         rss_delta_bytes: match (rss0, rss1) {
             (Some(before), Some(after)) => Some(after.saturating_sub(before)),
             _ => None,
         },
-        arena_bytes: engine.nodes_footprint_bytes() as u64,
-        calendar_bytes: engine.calendar_bytes() as u64,
+        arena_bytes: run.engine.nodes_footprint_bytes() as u64,
+        calendar_bytes: run.engine.calendar_bytes() as u64,
         node_heap_bytes: stats.iter().map(|s| s.heap_bytes as u64).sum(),
-        drops: counters.drops,
-        queue_peak: counters.queue_peak,
+        drops: run.counters.drops,
+        queue_peak: run.counters.queue_peak,
     };
     (record, stats)
 }
@@ -216,21 +317,13 @@ pub fn scale_scene(scene: &Scene, seed: u64) -> (ScaleRecord, Vec<phantom_sim::A
 /// identical at every shard count.
 pub fn shard_scale_scene(scene: &Scene, seed: u64, shards: usize) -> ShardScalePoint {
     let _guard = phantom_sim::ShardGuard::new(shards);
-    let c = compile(scene, seed);
-    let mut engine = c.engine;
-    let marker = phantom_sim::telemetry::begin_run();
-    let events_before = phantom_sim::thread_events_dispatched();
-    let start = std::time::Instant::now();
-    engine.run_until(c.until);
-    let wall_secs = start.elapsed().as_secs_f64();
-    let events = phantom_sim::thread_events_dispatched() - events_before;
-    let _ = marker.finish();
+    let run = measured_run(scene, seed);
     ShardScalePoint {
         shards,
         scene: scene.id.clone(),
         seed,
-        events,
-        wall_secs,
+        events: run.events,
+        wall_secs: run.wall_secs,
     }
 }
 
@@ -266,20 +359,38 @@ pub fn analysis_targets(scene: &Scene) -> AnalysisTargets {
     }
 }
 
-/// Register a validated scene as a runnable experiment under its id,
-/// shadowing any built-in of the same name, and publish its predicted
-/// analysis shape. (For built-in ids the *static* shape table keeps
-/// precedence, so twin scenes analyze against the identical committed
-/// targets.)
+/// The scenes registered with [`register_scene`], in registration order.
+fn registry() -> &'static RwLock<Vec<Arc<Scene>>> {
+    static SCENES: RwLock<Vec<Arc<Scene>>> = RwLock::new(Vec::new());
+    &SCENES
+}
+
+/// Register (or replace, by id) a validated scene as a runnable
+/// experiment. A registered id takes precedence over the catalog, so a
+/// scene named `fig2` shadows the catalog's fig2, both when it runs and
+/// for the analysis targets `--analyze` checks it against.
 pub fn register_scene(scene: Scene) {
-    register_shape(&scene.id, analysis_targets(&scene));
-    let id = scene.id.clone();
-    let describe = scene.describe.clone();
-    register_dynamic(DynamicExperiment {
-        id,
-        describe,
-        run: Arc::new(move |seed| ExperimentOutput::Figure(run_scene(&scene, seed))),
-    });
+    let scene = Arc::new(scene);
+    let mut scenes = registry().write().expect("scene registry poisoned");
+    match scenes.iter_mut().find(|s| s.id == scene.id) {
+        Some(slot) => *slot = scene,
+        None => scenes.push(scene),
+    }
+}
+
+/// The registered scene with this id, if any.
+pub fn registered_scene(id: &str) -> Option<Arc<Scene>> {
+    registry()
+        .read()
+        .expect("scene registry poisoned")
+        .iter()
+        .find(|s| s.id == id)
+        .cloned()
+}
+
+/// Every registered scene, in registration order.
+pub fn registered_scenes() -> Vec<Arc<Scene>> {
+    registry().read().expect("scene registry poisoned").clone()
 }
 
 /// Parse **and validate** a scene document.

@@ -17,8 +17,8 @@ use crate::http::{self, Request};
 use crate::job::{Job, JobState, SERVE_SCHEMA};
 use phantom_analyze::{analyze_trace_str, DEFAULT_WINDOW_SECS};
 use phantom_metrics::manifest::{Manifest, METRICS_SCHEMA};
-use phantom_metrics::{Registry, PROMETHEUS_CONTENT_TYPE};
-use phantom_scenarios::probes::ProbeSpec;
+use phantom_metrics::{GaugeSummary, Registry, PROMETHEUS_CONTENT_TYPE};
+use phantom_scene::probes::ProbeSpec;
 use phantom_scene::{analysis_targets, check_error_json, parse_scene, RunPlan};
 use phantom_sim::{CancelGuard, SimTime};
 use std::collections::VecDeque;
@@ -554,17 +554,26 @@ fn metrics(shared: &Arc<Shared>, stream: &mut TcpStream) -> std::io::Result<()> 
             .add(v.load(Ordering::Relaxed));
     }
     reg.set_help("phantom_serve_queue_depth", "jobs waiting for a worker");
-    reg.gauge("phantom_serve_queue_depth", &[])
-        .set(phantom_sim::SimTime::ZERO, queue_depth as f64);
+    reg.gauge(
+        "phantom_serve_queue_depth",
+        &[],
+        GaugeSummary::value(queue_depth as f64),
+    );
     reg.set_help(
         "phantom_serve_workers_busy",
         "workers currently running a job",
     );
-    reg.gauge("phantom_serve_workers_busy", &[])
-        .set(phantom_sim::SimTime::ZERO, busy as f64);
+    reg.gauge(
+        "phantom_serve_workers_busy",
+        &[],
+        GaugeSummary::value(busy as f64),
+    );
     reg.set_help("phantom_serve_jobs_known", "jobs in the table, any state");
-    reg.gauge("phantom_serve_jobs_known", &[])
-        .set(phantom_sim::SimTime::ZERO, jobs_total as f64);
+    reg.gauge(
+        "phantom_serve_jobs_known",
+        &[],
+        GaugeSummary::value(jobs_total as f64),
+    );
     reg.set_help(
         "phantom_serve_job_run_seconds",
         "wall-clock run time of finished jobs",

@@ -17,7 +17,7 @@ use phantom_repro::atm::network::NetworkBuilder;
 use phantom_repro::atm::Traffic;
 use phantom_repro::core::{MacrConfig, PhantomAllocator, PhantomConfig};
 use phantom_repro::metrics::manifest::{Manifest, TRACE_SCHEMA};
-use phantom_repro::scenarios::shape::targets_for;
+use phantom_repro::scenarios::registry::targets_for;
 use phantom_repro::scenarios::sweep::{run_sweep_with, SweepJob, SweepOptions};
 use phantom_repro::sim::probe::{KindSet, Probe, ProbeGuard};
 use phantom_repro::sim::{Engine, SimDuration, SimTime};
