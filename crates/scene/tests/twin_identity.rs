@@ -34,7 +34,7 @@ const CATALOG_DIGESTS: [(&str, u64); 13] = [
     ("fig19", 0x661b_c90f_34b7_ea41),
     ("fig20", 0x00ea_90a6_5bce_db47),
     ("fig21", 0x85f5_b33c_7a90_f190),
-    ("fig22", 0xe2b1_34b6_4bd5_05a9),
+    ("fig22", 0xa433_f70e_8017_2779),
 ];
 
 fn scenes_dir() -> PathBuf {
@@ -50,7 +50,7 @@ fn fresh_dir(name: &str) -> PathBuf {
 
 /// Run `ids` traced at `jobs` and return each trace body's digest. The
 /// traces are deleted as soon as they are hashed (fig22 alone writes
-/// ~300 MB).
+/// ~60 MB).
 fn trace_digests(ids: &[&str], jobs: usize) -> Vec<u64> {
     let dir = fresh_dir(&format!("digests-j{jobs}"));
     let batch: Vec<SweepJob> = ids

@@ -75,9 +75,10 @@ pub trait Node<M>: Any + Send {
     ///
     /// Configuration that the scenario rebuilds identically from its
     /// source (topology, rates, ids) must not be written — only state
-    /// that evolves as events fire. The default refuses, so engines whose
-    /// node types predate checkpointing fail loudly instead of silently
-    /// dropping state.
+    /// that evolves as events fire. Only node types that some command
+    /// checkpoints (the ATM nodes) override this; the default refuses,
+    /// so any other node type fails loudly instead of silently dropping
+    /// state.
     fn save_state(&self, _w: &mut KvWriter) -> Result<(), String> {
         Err(format!(
             "{} does not support checkpointing",

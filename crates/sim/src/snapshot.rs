@@ -123,12 +123,6 @@ impl KvWriter {
         self.out.push_str(&val.to_string());
     }
 
-    /// Write a signed integer.
-    pub fn i64(&mut self, key: &str, val: i64) {
-        self.push_key(key);
-        self.out.push_str(&val.to_string());
-    }
-
     /// Write a float with exact round-trip.
     pub fn f64(&mut self, key: &str, val: f64) {
         self.push_key(key);
@@ -221,13 +215,6 @@ impl KvReader {
         let raw = self.raw(key)?;
         raw.parse()
             .map_err(|e| format!("bad u64 {key}={raw:?}: {e}"))
-    }
-
-    /// Read a signed integer.
-    pub fn i64(&self, key: &str) -> Result<i64, String> {
-        let raw = self.raw(key)?;
-        raw.parse()
-            .map_err(|e| format!("bad i64 {key}={raw:?}: {e}"))
     }
 
     /// Read a float.
@@ -397,7 +384,6 @@ mod tests {
     fn kv_round_trips_typed_values_and_scopes() {
         let mut w = KvWriter::new();
         w.u64("count", 42);
-        w.i64("delta", -7);
         w.f64("rate", 1.0 / 3.0);
         w.bool("busy", true);
         w.str("name", "a b=c");
@@ -413,7 +399,6 @@ mod tests {
 
         let mut r = KvReader::parse(&text).unwrap();
         assert_eq!(r.u64("count").unwrap(), 42);
-        assert_eq!(r.i64("delta").unwrap(), -7);
         assert_eq!(r.f64("rate").unwrap().to_bits(), (1.0f64 / 3.0).to_bits());
         assert!(r.bool("busy").unwrap());
         assert_eq!(r.str("name").unwrap(), "a b=c");

@@ -70,25 +70,6 @@ pub trait CongestionControl: Any + Send {
 
     /// Algorithm name for reports.
     fn name(&self) -> &'static str;
-
-    /// Serialize the dynamic state for engine checkpoints. Algorithms
-    /// must override both hooks (together) to participate in
-    /// `phantom resume`; the default refuses so a checkpoint never
-    /// silently omits sender state.
-    fn save_state(&self, _w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        Err(format!(
-            "congestion control {} does not support checkpointing",
-            self.name()
-        ))
-    }
-
-    /// Restore state written by [`CongestionControl::save_state`].
-    fn restore_state(&mut self, _r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        Err(format!(
-            "congestion control {} does not support checkpointing",
-            self.name()
-        ))
-    }
 }
 
 impl CongestionControl for crate::reno::Reno {
@@ -146,15 +127,6 @@ impl CongestionControl for crate::reno::Reno {
 
     fn name(&self) -> &'static str {
         "reno"
-    }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        crate::reno::Reno::save_state(self, w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        crate::reno::Reno::restore_state(self, r)
     }
 }
 

@@ -90,65 +90,6 @@ impl Packet {
     pub fn is_reverse(&self) -> bool {
         !self.is_data()
     }
-
-    /// Serialize every field for engine checkpoints.
-    pub fn save(&self, w: &mut phantom_sim::KvWriter) {
-        w.u64("flow", u64::from(self.flow.0));
-        match self.kind {
-            PktKind::Data { seq, len } => {
-                w.str("kind", "data");
-                w.u64("seq", seq);
-                w.u64("len", u64::from(len));
-            }
-            PktKind::Ack { ack, ecn_echo } => {
-                w.str("kind", "ack");
-                w.u64("ack", ack);
-                w.bool("echo", ecn_echo);
-            }
-            PktKind::Quench => w.str("kind", "quench"),
-        }
-        w.f64("cr", self.cr);
-        w.bool("ecn", self.ecn);
-        w.u64("wire", u64::from(self.wire));
-    }
-
-    /// Deserialize a [`Packet::save`] image.
-    pub fn load(r: &mut phantom_sim::KvReader) -> Result<Self, String> {
-        let u32of = |v: u64, what: &str| -> Result<u32, String> {
-            u32::try_from(v).map_err(|_| format!("packet {what} {v} out of range"))
-        };
-        let kind = match r.str("kind")?.as_str() {
-            "data" => PktKind::Data {
-                seq: r.u64("seq")?,
-                len: u32of(r.u64("len")?, "len")?,
-            },
-            "ack" => PktKind::Ack {
-                ack: r.u64("ack")?,
-                ecn_echo: r.bool("echo")?,
-            },
-            "quench" => PktKind::Quench,
-            other => return Err(format!("unknown packet kind {other:?}")),
-        };
-        Ok(Packet {
-            flow: FlowId(u32of(r.u64("flow")?, "flow")?),
-            kind,
-            cr: r.f64("cr")?,
-            ecn: r.bool("ecn")?,
-            wire: u32of(r.u64("wire")?, "wire")?,
-        })
-    }
-
-    /// [`Packet::save`] as a standalone token string (queue occupants).
-    pub fn encode_str(&self) -> String {
-        let mut w = phantom_sim::KvWriter::new();
-        self.save(&mut w);
-        w.finish()
-    }
-
-    /// Invert [`Packet::encode_str`].
-    pub fn decode_str(s: &str) -> Result<Self, String> {
-        Self::load(&mut phantom_sim::KvReader::parse(s)?)
-    }
 }
 
 /// Everything that can be delivered to a TCP-domain node.
@@ -196,59 +137,6 @@ pub enum TcpTimer {
     },
 }
 
-impl phantom_sim::SnapshotMessage for TcpMsg {
-    fn encode(&self) -> String {
-        let mut w = phantom_sim::KvWriter::new();
-        match self {
-            TcpMsg::Pkt(p) => {
-                w.str("m", "pkt");
-                w.scope("p", |w| p.save(w));
-            }
-            TcpMsg::Timer(TcpTimer::Tick) => w.str("m", "tick"),
-            TcpMsg::Timer(TcpTimer::Rto { gen }) => {
-                w.str("m", "rto");
-                w.u64("gen", *gen);
-            }
-            TcpMsg::Timer(TcpTimer::CrSample) => w.str("m", "crsample"),
-            TcpMsg::Timer(TcpTimer::TxDone { port }) => {
-                w.str("m", "txdone");
-                w.u64("port", *port as u64);
-            }
-            TcpMsg::Timer(TcpTimer::Measure { port }) => {
-                w.str("m", "measure");
-                w.u64("port", *port as u64);
-            }
-            TcpMsg::Timer(TcpTimer::DelayedAck) => w.str("m", "delack"),
-            TcpMsg::Timer(TcpTimer::SetRate { port, bps }) => {
-                w.str("m", "setrate");
-                w.u64("port", *port as u64);
-                w.f64("bps", *bps);
-            }
-        }
-        w.finish()
-    }
-
-    fn decode(s: &str) -> Result<Self, String> {
-        let mut r = phantom_sim::KvReader::parse(s)?;
-        let port =
-            |r: &phantom_sim::KvReader| -> Result<usize, String> { Ok(r.u64("port")? as usize) };
-        Ok(match r.str("m")?.as_str() {
-            "pkt" => TcpMsg::Pkt(r.scope("p", Packet::load)?),
-            "tick" => TcpMsg::Timer(TcpTimer::Tick),
-            "rto" => TcpMsg::Timer(TcpTimer::Rto { gen: r.u64("gen")? }),
-            "crsample" => TcpMsg::Timer(TcpTimer::CrSample),
-            "txdone" => TcpMsg::Timer(TcpTimer::TxDone { port: port(&r)? }),
-            "measure" => TcpMsg::Timer(TcpTimer::Measure { port: port(&r)? }),
-            "delack" => TcpMsg::Timer(TcpTimer::DelayedAck),
-            "setrate" => TcpMsg::Timer(TcpTimer::SetRate {
-                port: port(&r)?,
-                bps: r.f64("bps")?,
-            }),
-            other => return Err(format!("unknown TCP message kind {other:?}")),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,37 +159,5 @@ mod tests {
     fn cr_defaults_to_zero_on_control_packets() {
         assert_eq!(Packet::ack(FlowId(0), 0, false).cr, 0.0);
         assert_eq!(Packet::quench(FlowId(0)).cr, 0.0);
-    }
-
-    #[test]
-    fn snapshot_codec_round_trips_every_flavour() {
-        use phantom_sim::SnapshotMessage;
-
-        let mut marked = Packet::data(FlowId(9), 123_456_789_012, 512, 1.0 / 3.0);
-        marked.ecn = true;
-        let msgs = [
-            TcpMsg::Pkt(marked),
-            TcpMsg::Pkt(Packet::ack(FlowId(2), 987_654, true)),
-            TcpMsg::Pkt(Packet::quench(FlowId(0))),
-            TcpMsg::Timer(TcpTimer::Tick),
-            TcpMsg::Timer(TcpTimer::Rto { gen: 42 }),
-            TcpMsg::Timer(TcpTimer::CrSample),
-            TcpMsg::Timer(TcpTimer::TxDone { port: 3 }),
-            TcpMsg::Timer(TcpTimer::Measure { port: 1 }),
-            TcpMsg::Timer(TcpTimer::DelayedAck),
-            TcpMsg::Timer(TcpTimer::SetRate {
-                port: 0,
-                bps: 1.25e6,
-            }),
-        ];
-        for msg in msgs {
-            let enc = msg.encode();
-            assert!(!enc.contains('\n'));
-            let back = TcpMsg::decode(&enc).expect("decode");
-            // TcpMsg has no PartialEq (Packet carries bit-exact floats);
-            // compare via re-encoding, which is field-exhaustive.
-            assert_eq!(back.encode(), enc, "{msg:?}");
-        }
-        assert!(TcpMsg::decode("m=bogus").is_err());
     }
 }

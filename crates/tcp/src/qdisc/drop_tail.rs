@@ -25,14 +25,6 @@ impl QueueDiscipline for DropTail {
     fn name(&self) -> &'static str {
         "drop-tail"
     }
-
-    fn save_state(&self, _w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        Ok(()) // stateless
-    }
-
-    fn restore_state(&mut self, _r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -123,25 +123,6 @@ pub trait QueueDiscipline: Any + Send {
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
-
-    /// Serialize the dynamic state for engine checkpoints. Disciplines
-    /// must override both hooks (together) to participate in
-    /// `phantom resume`; the default refuses so a checkpoint never
-    /// silently omits router state.
-    fn save_state(&self, _w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        Err(format!(
-            "queue discipline {} does not support checkpointing",
-            self.name()
-        ))
-    }
-
-    /// Restore state written by [`QueueDiscipline::save_state`].
-    fn restore_state(&mut self, _r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        Err(format!(
-            "queue discipline {} does not support checkpointing",
-            self.name()
-        ))
-    }
 }
 
 #[cfg(test)]

@@ -58,28 +58,6 @@ impl PhantomMeter {
         cr > self.allowed_rate()
     }
 
-    /// Serialize the dynamic state for engine checkpoints.
-    pub fn save_state(&self, w: &mut phantom_sim::KvWriter) {
-        w.bool("init", self.est.is_some());
-        if let Some(e) = &self.est {
-            w.scope("est", |w| e.save(w));
-        }
-    }
-
-    /// Restore state written by [`PhantomMeter::save_state`]. The
-    /// constructor capacity only seeds the initial estimate, which the
-    /// restore immediately overwrites.
-    pub fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        self.est = if r.bool("init")? {
-            let mut e = MacrEstimator::new(self.cfg.macr, 1.0);
-            r.scope("est", |r| e.restore(r))?;
-            Some(e)
-        } else {
-            None
-        };
-        Ok(())
-    }
-
     /// Estimator internals for probes (all NaN before the first interval).
     pub fn telemetry(&self) -> QdiscTelemetry {
         match &self.est {

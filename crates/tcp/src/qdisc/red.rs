@@ -95,19 +95,6 @@ impl RedCore {
             false
         }
     }
-
-    /// Serialize the dynamic state for engine checkpoints.
-    pub fn save_state(&self, w: &mut phantom_sim::KvWriter) {
-        w.f64("avg", self.avg);
-        w.i64("count", self.count);
-    }
-
-    /// Restore state written by [`RedCore::save_state`].
-    pub fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        self.avg = r.f64("avg")?;
-        self.count = r.i64("count")?;
-        Ok(())
-    }
 }
 
 /// The RED queue discipline.
@@ -150,15 +137,6 @@ impl QueueDiscipline for Red {
 
     fn name(&self) -> &'static str {
         "red"
-    }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        w.scope("red", |w| self.core.save_state(w));
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        r.scope("red", |r| self.core.restore_state(r))
     }
 }
 

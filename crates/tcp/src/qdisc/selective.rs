@@ -83,15 +83,6 @@ impl QueueDiscipline for SelectiveDiscard {
     fn name(&self) -> &'static str {
         "selective-discard"
     }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        w.scope("meter", |w| self.meter.save_state(w));
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        r.scope("meter", |r| self.meter.restore_state(r))
-    }
 }
 
 /// Source Quench variant: over-limit packets are still delivered, but
@@ -145,15 +136,6 @@ impl QueueDiscipline for SelectiveQuench {
     fn name(&self) -> &'static str {
         "selective-quench"
     }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        w.scope("meter", |w| self.meter.save_state(w));
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        r.scope("meter", |r| self.meter.restore_state(r))
-    }
 }
 
 /// EFCI/ECN variant: over-limit packets get the congestion bit; the
@@ -206,15 +188,6 @@ impl QueueDiscipline for EfciMark {
 
     fn name(&self) -> &'static str {
         "efci-mark"
-    }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        w.scope("meter", |w| self.meter.save_state(w));
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        r.scope("meter", |r| self.meter.restore_state(r))
     }
 }
 
@@ -290,17 +263,6 @@ impl QueueDiscipline for SelectiveRed {
 
     fn name(&self) -> &'static str {
         "selective-red"
-    }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        w.scope("meter", |w| self.meter.save_state(w));
-        w.scope("red", |w| self.red.save_state(w));
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        r.scope("meter", |r| self.meter.restore_state(r))?;
-        r.scope("red", |r| self.red.restore_state(r))
     }
 }
 

@@ -219,46 +219,6 @@ impl Reno {
         }
         self.quench_cuts += 1;
     }
-
-    /// Serialize the dynamic state for engine checkpoints (`mss` and
-    /// `max_cwnd` are construction-time configuration).
-    pub fn save_state(&self, w: &mut phantom_sim::KvWriter) {
-        w.u64("snd_una", self.snd_una);
-        w.u64("snd_nxt", self.snd_nxt);
-        w.f64("cwnd", self.cwnd);
-        w.f64("ssthresh", self.ssthresh);
-        w.u64("dupacks", u64::from(self.dupacks));
-        w.str(
-            "phase",
-            match self.phase {
-                Phase::SlowStart => "ss",
-                Phase::CongestionAvoidance => "ca",
-                Phase::FastRecovery => "fr",
-            },
-        );
-        w.u64("fast_retransmits", self.fast_retransmits);
-        w.u64("timeouts", self.timeouts);
-        w.u64("quench_cuts", self.quench_cuts);
-    }
-
-    /// Restore state written by [`Reno::save_state`].
-    pub fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        self.snd_una = r.u64("snd_una")?;
-        self.snd_nxt = r.u64("snd_nxt")?;
-        self.cwnd = r.f64("cwnd")?;
-        self.ssthresh = r.f64("ssthresh")?;
-        self.dupacks = u32::try_from(r.u64("dupacks")?).map_err(|_| "dupacks out of range")?;
-        self.phase = match r.str("phase")?.as_str() {
-            "ss" => Phase::SlowStart,
-            "ca" => Phase::CongestionAvoidance,
-            "fr" => Phase::FastRecovery,
-            other => return Err(format!("unknown reno phase {other:?}")),
-        };
-        self.fast_retransmits = r.u64("fast_retransmits")?;
-        self.timeouts = r.u64("timeouts")?;
-        self.quench_cuts = r.u64("quench_cuts")?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -262,47 +262,6 @@ impl RPort {
             TcpMsg::Timer(TcpTimer::Measure { port: me }),
         );
     }
-
-    /// Serialize the dynamic state for engine checkpoints (link target,
-    /// propagation delay and buffer bound are construction-time
-    /// configuration).
-    pub fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        w.scope("q", |w| self.queue.save(w, Packet::encode_str));
-        w.u64("queue_bytes", self.queue_bytes);
-        w.f64("capacity", self.capacity);
-        w.bool("busy", self.busy);
-        w.u64("arrival_bytes", self.arrival_bytes);
-        w.u64("departure_bytes", self.departure_bytes);
-        w.u64("policy_drops", self.policy_drops);
-        w.u64("quenches_sent", self.quenches_sent);
-        w.u64("marks", self.marks);
-        w.scope("qs", |w| self.queue_series.save(w));
-        w.scope("macr", |w| self.macr_series.save(w));
-        w.scope("tp", |w| self.throughput_series.save(w));
-        let mut qdisc = Ok(());
-        w.scope("qdisc", |w| qdisc = self.qdisc.save_state(w));
-        qdisc
-    }
-
-    /// Restore state written by [`RPort::save_state`]. The `tw` scope of
-    /// older checkpoints is ignored.
-    pub fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        r.scope("q", |r| self.queue.restore(r, Packet::decode_str))?;
-        self.queue_bytes = r.u64("queue_bytes")?;
-        // Routed through set_capacity so the serialization memo is
-        // invalidated along with the rate it was computed from.
-        self.set_capacity(r.f64("capacity")?);
-        self.busy = r.bool("busy")?;
-        self.arrival_bytes = r.u64("arrival_bytes")?;
-        self.departure_bytes = r.u64("departure_bytes")?;
-        self.policy_drops = r.u64("policy_drops")?;
-        self.quenches_sent = r.u64("quenches_sent")?;
-        self.marks = r.u64("marks")?;
-        r.scope("qs", |r| self.queue_series.restore(r))?;
-        r.scope("macr", |r| self.macr_series.restore(r))?;
-        r.scope("tp", |r| self.throughput_series.restore(r))?;
-        r.scope("qdisc", |r| self.qdisc.restore_state(r))
-    }
 }
 
 /// A router node.
@@ -394,31 +353,5 @@ impl Node<TcpMsg> for Router {
             TcpMsg::Timer(TcpTimer::SetRate { port, bps }) => self.ports[port].set_capacity(bps),
             TcpMsg::Timer(t) => unreachable!("router received {t:?}"),
         }
-    }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        w.u64("ports", self.ports.len() as u64);
-        let mut res = Ok(());
-        for (i, p) in self.ports.iter().enumerate() {
-            if res.is_ok() {
-                w.scope(&format!("p{i}"), |w| res = p.save_state(w));
-            }
-        }
-        res
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        let n = r.u64("ports")? as usize;
-        if n != self.ports.len() {
-            return Err(format!(
-                "checkpoint has {n} ports but router {} was rebuilt with {}",
-                self.name,
-                self.ports.len()
-            ));
-        }
-        for (i, p) in self.ports.iter_mut().enumerate() {
-            r.scope(&format!("p{i}"), |r| p.restore_state(r))?;
-        }
-        Ok(())
     }
 }

@@ -75,24 +75,6 @@ impl RttEstimator {
     pub fn back_off(&mut self) {
         self.backoff = (self.backoff + 1).min(16);
     }
-
-    /// Serialize the dynamic state for engine checkpoints (the RTO
-    /// bounds are construction-time configuration).
-    pub fn save_state(&self, w: &mut phantom_sim::KvWriter) {
-        w.f64("srtt", self.srtt);
-        w.f64("rttvar", self.rttvar);
-        w.bool("has_sample", self.has_sample);
-        w.u64("backoff", u64::from(self.backoff));
-    }
-
-    /// Restore state written by [`RttEstimator::save_state`].
-    pub fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        self.srtt = r.f64("srtt")?;
-        self.rttvar = r.f64("rttvar")?;
-        self.has_sample = r.bool("has_sample")?;
-        self.backoff = u32::try_from(r.u64("backoff")?).map_err(|_| "backoff out of range")?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

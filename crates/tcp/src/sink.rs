@@ -171,34 +171,4 @@ impl Node<TcpMsg> for TcpSink {
             TcpMsg::Timer(t) => unreachable!("sink received {t:?}"),
         }
     }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        w.u64("rcv_next", self.rcv_next);
-        // BTreeSet iterates in ascending order — deterministic encoding.
-        let ooo: Vec<u64> = self.ooo.iter().copied().collect();
-        w.u64_list("ooo", &ooo);
-        w.u64("bytes_in_window", self.bytes_in_window);
-        w.u64("unacked_segments", u64::from(self.unacked_segments));
-        w.bool("ack_timer_armed", self.ack_timer_armed);
-        w.bool("last_echo", self.last_echo);
-        w.u64("bytes_delivered", self.bytes_delivered);
-        w.u64("segments_received", self.segments_received);
-        w.u64("duplicates", self.duplicates);
-        w.scope("gp", |w| self.goodput_series.save(w));
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        self.rcv_next = r.u64("rcv_next")?;
-        self.ooo = r.u64_list("ooo")?.into_iter().collect();
-        self.bytes_in_window = r.u64("bytes_in_window")?;
-        self.unacked_segments = u32::try_from(r.u64("unacked_segments")?)
-            .map_err(|_| "unacked_segments out of range")?;
-        self.ack_timer_armed = r.bool("ack_timer_armed")?;
-        self.last_echo = r.bool("last_echo")?;
-        self.bytes_delivered = r.u64("bytes_delivered")?;
-        self.segments_received = r.u64("segments_received")?;
-        self.duplicates = r.u64("duplicates")?;
-        r.scope("gp", |r| self.goodput_series.restore(r))
-    }
 }

@@ -299,67 +299,4 @@ impl Node<TcpMsg> for TcpSource {
             TcpMsg::Timer(t) => unreachable!("source received {t:?}"),
         }
     }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        let mut cc = Ok(());
-        w.scope("cc", |w| cc = self.cc.save_state(w));
-        cc?;
-        w.scope("rtt", |w| self.rtt.save_state(w));
-        w.bool("tx_busy", self.tx_busy);
-        w.bool("has_retx", self.pending_retx.is_some());
-        if let Some(seq) = self.pending_retx {
-            w.u64("retx", seq);
-        }
-        w.u64("rto_gen", self.rto_gen);
-        w.bool("has_timed", self.timed.is_some());
-        if let Some((end, at)) = self.timed {
-            w.u64("timed_end", end);
-            w.u64("timed_at", at.0);
-        }
-        w.f64("cr", self.cr);
-        w.u64("acked_in_window", self.acked_in_window);
-        w.u64("cr_window_start", self.cr_window_start.0);
-        w.bool("has_quench_cut", self.last_quench_cut.is_some());
-        if let Some(t) = self.last_quench_cut {
-            w.u64("quench_cut", t.0);
-        }
-        w.scope("cw", |w| self.cwnd_series.save(w));
-        w.scope("crs", |w| self.cr_series.save(w));
-        w.u64("segments_sent", self.segments_sent);
-        w.u64("retransmissions", self.retransmissions);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        r.scope("cc", |r| self.cc.restore_state(r))?;
-        r.scope("rtt", |r| self.rtt.restore_state(r))?;
-        self.tx_busy = r.bool("tx_busy")?;
-        self.pending_retx = if r.bool("has_retx")? {
-            Some(r.u64("retx")?)
-        } else {
-            None
-        };
-        self.rto_gen = r.u64("rto_gen")?;
-        self.timed = if r.bool("has_timed")? {
-            Some((r.u64("timed_end")?, SimTime(r.u64("timed_at")?)))
-        } else {
-            None
-        };
-        self.cr = r.f64("cr")?;
-        self.acked_in_window = r.u64("acked_in_window")?;
-        self.cr_window_start = SimTime(r.u64("cr_window_start")?);
-        self.last_quench_cut = if r.bool("has_quench_cut")? {
-            Some(SimTime(r.u64("quench_cut")?))
-        } else {
-            None
-        };
-        r.scope("cw", |r| self.cwnd_series.restore(r))?;
-        r.scope("crs", |r| self.cr_series.restore(r))?;
-        self.segments_sent = r.u64("segments_sent")?;
-        self.retransmissions = r.u64("retransmissions")?;
-        // The serialization memo is a pure cache; recompute on demand.
-        self.ser_wire = u32::MAX;
-        self.ser_dur = SimDuration::ZERO;
-        Ok(())
-    }
 }

@@ -233,41 +233,6 @@ impl CongestionControl for Vegas {
     fn name(&self) -> &'static str {
         "vegas"
     }
-
-    fn save_state(&self, w: &mut phantom_sim::KvWriter) -> Result<(), String> {
-        w.u64("snd_una", self.snd_una);
-        w.u64("snd_nxt", self.snd_nxt);
-        w.f64("cwnd", self.cwnd);
-        w.u64("dupacks", u64::from(self.dupacks));
-        w.bool("in_recovery", self.in_recovery);
-        w.f64("recovery_cwnd", self.recovery_cwnd);
-        w.bool("slow_start", self.slow_start);
-        w.bool("ss_toggle", self.ss_toggle);
-        // base_rtt may still be +inf (no sample yet); fmt_f64 encodes it.
-        w.f64("base_rtt", self.base_rtt);
-        w.u64("fast_retransmits", self.stats.fast_retransmits);
-        w.u64("timeouts", self.stats.timeouts);
-        w.u64("quench_cuts", self.stats.quench_cuts);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut phantom_sim::KvReader) -> Result<(), String> {
-        self.snd_una = r.u64("snd_una")?;
-        self.snd_nxt = r.u64("snd_nxt")?;
-        self.cwnd = r.f64("cwnd")?;
-        self.dupacks = u32::try_from(r.u64("dupacks")?).map_err(|_| "dupacks out of range")?;
-        self.in_recovery = r.bool("in_recovery")?;
-        self.recovery_cwnd = r.f64("recovery_cwnd")?;
-        self.slow_start = r.bool("slow_start")?;
-        self.ss_toggle = r.bool("ss_toggle")?;
-        self.base_rtt = r.f64("base_rtt")?;
-        self.stats = CcStats {
-            fast_retransmits: r.u64("fast_retransmits")?,
-            timeouts: r.u64("timeouts")?,
-            quench_cuts: r.u64("quench_cuts")?,
-        };
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -102,6 +102,33 @@ fn committed_fig2_baseline_accepts_the_unperturbed_run() {
     assert!(failures.is_empty(), "unexpected regressions: {failures:?}");
 }
 
+/// A figure's live analysis describes that figure's run alone: fig22
+/// runs its CAPC-vs-Phantom comparison outside the tap, so the link
+/// cannot look busier than its capacity.
+#[test]
+fn fig22_live_analysis_sees_only_its_own_run() {
+    let opts = SweepOptions {
+        analyze_window: Some(DEFAULT_WINDOW_SECS),
+        ..SweepOptions::default()
+    };
+    let runs = run_sweep_with(
+        &[SweepJob {
+            id: "fig22".into(),
+            seed: SEED,
+        }],
+        1,
+        &opts,
+    );
+    let report = runs[0].analysis.as_ref().expect("analysis enabled");
+    let util = report
+        .metric("utilization_tail")
+        .expect("fig22's scene names its bottleneck capacity");
+    assert!(
+        util <= 1.01,
+        "fig22 utilization_tail {util} exceeds the link"
+    );
+}
+
 /// The regression gate has teeth: rebuild fig2's exact topology but with
 /// the deviation-filter gain perturbed from Jacobson's 1/4 to 1.0 and
 /// the committed baseline must reject the run, naming the metric and the
