@@ -158,6 +158,29 @@ pub fn parse_event_line(line: &str, line_no: usize) -> Result<(f64, usize, Probe
     Ok((t, node, ev))
 }
 
+/// A trace's clock: event times never decrease, so a file that holds
+/// several runs back to back (the clock restarts at each) is refused at
+/// the first line that steps back.
+#[derive(Default)]
+struct Clock {
+    t: f64,
+    line: usize,
+}
+
+impl Clock {
+    fn advance(&mut self, t: f64, line: usize) -> Result<(), String> {
+        if t < self.t {
+            return Err(format!(
+                "line {line}: time `t` {t} steps back from {} on line {}",
+                self.t, self.line
+            ));
+        }
+        self.t = t;
+        self.line = line;
+        Ok(())
+    }
+}
+
 /// How a trace fails validation. Truncation (a final line cut mid-write,
 /// the signature of a crashed or still-running producer) is distinct
 /// from structural invalidity so callers can exit with different codes.
@@ -190,7 +213,8 @@ impl std::fmt::Display for LintError {
     }
 }
 
-/// Validate a trace: manifest first line, then fully-parsed events.
+/// Validate a trace: manifest first line, then fully-parsed events
+/// whose times never decrease.
 /// Returns the event count — an empty-but-valid trace (manifest line
 /// only) is `Ok(0)`, not an error.
 pub fn lint_trace_str(text: &str) -> Result<u64, LintError> {
@@ -213,8 +237,11 @@ pub fn lint_trace_str(text: &str) -> Result<u64, LintError> {
     if let Some((first, rest)) = complete.split_first() {
         parse_manifest_line(first).map_err(|msg| LintError::Invalid { line: 1, msg })?;
         let mut events = 0u64;
+        let mut clock = Clock::default();
         for (n, line) in rest.iter().enumerate() {
-            parse_event_line(line, n + 2).map_err(|msg| LintError::Invalid { line: n + 2, msg })?;
+            parse_event_line(line, n + 2)
+                .and_then(|(t, ..)| clock.advance(t, n + 2))
+                .map_err(|msg| LintError::Invalid { line: n + 2, msg })?;
             events += 1;
         }
         if truncated_last {
@@ -238,6 +265,7 @@ fn truncate_for_msg(line: &str) -> &str {
 }
 
 /// Analyze a whole trace string: manifest line, then one event per line.
+/// A time that steps back is an error naming its line.
 pub fn analyze_trace_str(
     text: &str,
     targets: AnalysisTargets,
@@ -247,8 +275,10 @@ pub fn analyze_trace_str(
     let first = lines.next().ok_or("empty trace")?;
     let manifest = parse_manifest_line(first)?;
     let mut analyzer = StreamingAnalyzer::new(&manifest, targets, window_secs);
+    let mut clock = Clock::default();
     for (n, line) in lines.enumerate() {
         let (t, node, ev) = parse_event_line(line, n + 2)?;
+        clock.advance(t, n + 2)?;
         analyzer.on_event(t, node, &ev);
     }
     Ok(analyzer.finish())
@@ -390,6 +420,25 @@ mod tests {
             lint_trace_str(""),
             Err(LintError::Invalid { line: 1, .. })
         ));
+    }
+
+    #[test]
+    fn lint_and_analysis_refuse_a_clock_that_steps_back() {
+        let ev =
+            |t: f64| format!("{{\"t\":{t},\"node\":1,\"kind\":\"enqueue\",\"port\":0,\"qlen\":1}}");
+        // Equal times are fine; the step back on line 4 is not.
+        let text = format!("{MANIFEST}\n{}\n{}\n{}\n", ev(0.002), ev(0.002), ev(0.001));
+        match lint_trace_str(&text) {
+            Err(LintError::Invalid { line: 4, msg }) => {
+                assert_eq!(
+                    msg,
+                    "line 4: time `t` 0.001 steps back from 0.002 on line 3"
+                )
+            }
+            other => panic!("a restarted clock must not lint: {other:?}"),
+        }
+        let err = analyze_trace_str(&text, AnalysisTargets::default(), 0.05).unwrap_err();
+        assert!(err.starts_with("line 4: time `t`"), "{err}");
     }
 
     #[test]

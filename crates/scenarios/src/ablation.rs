@@ -9,12 +9,16 @@
 //! * **Utilization factor u** — trades utilization against the phantom
 //!   session's (i.e. headroom's) share: `util = n·u/(1+n·u)`.
 //! * **Adaptive gains** — the paper's deviation damping vs fixed gains.
+//!
+//! T3 builds its networks by hand because a scene cannot declare the
+//! measurement interval Δt or the MACR gain normalization
+//! (`MacrConfig::norm_gain`). The baseline row is the table's trace.
 
-use crate::common::{single_bottleneck, AtmAlgorithm};
+use crate::common::{nth_run, trunk_utilization};
 use phantom_atm::network::{NetworkBuilder, TrunkIdx};
 use phantom_atm::units::cps_to_mbps;
 use phantom_atm::{AtmMsg, Network, Traffic};
-use phantom_core::{MacrConfig, PhantomAllocator, PhantomConfig};
+use phantom_core::{MacrConfig, PhantomAllocator, PhantomConfig, ResidualMode};
 use phantom_metrics::{oscillation_amplitude, Table};
 use phantom_sim::{Engine, SimDuration, SimTime};
 
@@ -33,7 +37,7 @@ fn run_config(cfg: PhantomConfig, dt: SimDuration, seed: u64) -> (Engine<AtmMsg>
 }
 
 fn row(engine: &Engine<AtmMsg>, net: &Network) -> Vec<f64> {
-    let util = crate::common::trunk_utilization(engine, net, TrunkIdx(0), 0.4);
+    let util = trunk_utilization(engine, net, TrunkIdx(0), 0.4);
     let q = net.trunk_queue(engine, TrunkIdx(0));
     let macr = net.trunk_macr(engine, TrunkIdx(0));
     vec![
@@ -59,58 +63,51 @@ pub fn table_ablation(seed: u64) -> Table {
             "macr_mbps",
         ],
     );
-
-    // Baseline.
-    let (e, n) = run_config(PhantomConfig::paper(), SimDuration::from_millis(1), seed);
-    t.add_row("baseline(u5,dt1ms,adaptive,arrivals)", row(&e, &n));
-
-    // Residual mode.
-    let (e, n) = {
-        let (mut engine, net) = single_bottleneck(
-            &[Traffic::greedy(), Traffic::greedy()],
-            AtmAlgorithm::PhantomDepartures,
-            seed,
-        );
-        engine.run_until(SimTime::from_millis(700));
-        (engine, net)
-    };
-    t.add_row("residual=departures", row(&e, &n));
-
+    let paper = PhantomConfig::paper;
+    let dt1 = SimDuration::from_millis(1);
+    let mut variants = vec![
+        (
+            "baseline(u5,dt1ms,adaptive,arrivals)".to_string(),
+            paper(),
+            dt1,
+        ),
+        // Residual mode.
+        (
+            "residual=departures".to_string(),
+            paper().with_macr(MacrConfig {
+                residual: ResidualMode::Departures,
+                ..MacrConfig::default()
+            }),
+            dt1,
+        ),
+    ];
     // Δt sweep.
     for (label, us) in [("dt=0.5ms", 500u64), ("dt=2ms", 2000), ("dt=5ms", 5000)] {
-        let (e, n) = run_config(PhantomConfig::paper(), SimDuration::from_micros(us), seed);
-        t.add_row(label, row(&e, &n));
+        variants.push((label.to_string(), paper(), SimDuration::from_micros(us)));
     }
-
     // Utilization factor sweep.
     for u in [2.0, 10.0, 20.0] {
-        let (e, n) = run_config(
-            PhantomConfig::paper().with_utilization_factor(u),
-            SimDuration::from_millis(1),
-            seed,
-        );
-        t.add_row(&format!("u={u}"), row(&e, &n));
+        variants.push((format!("u={u}"), paper().with_utilization_factor(u), dt1));
     }
-
     // Fixed gains.
-    let (e, n) = run_config(
-        PhantomConfig::paper().with_macr(MacrConfig::default().fixed_gains()),
-        SimDuration::from_millis(1),
-        seed,
-    );
-    t.add_row("fixed-gains", row(&e, &n));
-
+    variants.push((
+        "fixed-gains".to_string(),
+        paper().with_macr(MacrConfig::default().fixed_gains()),
+        dt1,
+    ));
     // No normalization cap (pure alpha).
-    let (e, n) = run_config(
-        PhantomConfig::paper().with_macr(MacrConfig {
+    variants.push((
+        "no-gain-normalization".to_string(),
+        paper().with_macr(MacrConfig {
             norm_gain: f64::INFINITY,
             ..MacrConfig::default()
         }),
-        SimDuration::from_millis(1),
-        seed,
-    );
-    t.add_row("no-gain-normalization", row(&e, &n));
-
+        dt1,
+    ));
+    for (i, (label, cfg, dt)) in variants.into_iter().enumerate() {
+        let (engine, net) = nth_run(i, || run_config(cfg, dt, seed));
+        t.add_row(&label, row(&engine, &net));
+    }
     t
 }
 

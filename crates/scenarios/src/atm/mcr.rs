@@ -13,6 +13,9 @@
 //!
 //! — the guaranteed session is pinned at exactly `m` (the ER *floor*,
 //! not floor-plus-share), and everyone else fair-shares what remains.
+//!
+//! EXT5 builds its network by hand because a scene cannot declare a
+//! session's MCR.
 
 use crate::common::AtmAlgorithm;
 use phantom_atm::network::SessionId;

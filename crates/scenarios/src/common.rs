@@ -1,8 +1,10 @@
-//! Shared scenario plumbing: algorithm catalogs and standard topologies.
+//! Shared scenario plumbing: algorithm catalogs, the TCP topologies and
+//! the one-run rule of multi-run entries.
 
-use phantom_atm::network::{Network, NetworkBuilder};
-use phantom_atm::{AtmMsg, Traffic};
+use phantom_atm::network::Network;
+use phantom_atm::AtmMsg;
 pub use phantom_scene::AtmAlgorithm;
+use phantom_sim::probe::without_thread_probe;
 use phantom_sim::{Engine, SimDuration, SimTime};
 use phantom_tcp::qdisc::{
     DropTail, EfciMark, QueueDiscipline, Red, SelectiveDiscard, SelectiveQuench, SelectiveRed,
@@ -50,50 +52,6 @@ impl TcpMechanism {
             TcpMechanism::EfciMark => "efci-mark",
         }
     }
-}
-
-/// The paper's standard single-bottleneck ATM configuration: sources on
-/// switch `s1`, destinations behind switch `s2`, one 150 Mb/s trunk with
-/// negligible (0.01 ms) propagation.
-pub fn single_bottleneck(
-    traffics: &[Traffic],
-    alg: AtmAlgorithm,
-    seed: u64,
-) -> (Engine<AtmMsg>, Network) {
-    let mut b = NetworkBuilder::new();
-    let s1 = b.switch("s1");
-    let s2 = b.switch("s2");
-    b.trunk(s1, s2, 150.0, SimDuration::from_micros(10));
-    for &t in traffics {
-        b.session(&[s1, s2], t);
-    }
-    let mut engine = Engine::new(seed);
-    let net = b.build(&mut engine, &mut || alg.boxed());
-    (engine, net)
-}
-
-/// `n` greedy sessions over the standard single bottleneck.
-pub fn greedy_bottleneck(n: usize, alg: AtmAlgorithm, seed: u64) -> (Engine<AtmMsg>, Network) {
-    single_bottleneck(&vec![Traffic::greedy(); n], alg, seed)
-}
-
-/// The paper's on/off configuration ("analogous to that in Fig. 4"):
-/// one greedy background session plus two bursty sessions alternating
-/// 30 ms on / 30 ms off. The second burster is offset by *half* an
-/// on-period so the active-session count keeps stepping through
-/// 1 → 3 → 2 → 1 …, exercising the transient every 15 ms.
-pub fn onoff_bottleneck(alg: AtmAlgorithm, seed: u64) -> (Engine<AtmMsg>, Network) {
-    let on = SimDuration::from_millis(30);
-    let off = SimDuration::from_millis(30);
-    single_bottleneck(
-        &[
-            Traffic::greedy(),
-            Traffic::on_off(SimTime::from_millis(100), on, off),
-            Traffic::on_off(SimTime::from_millis(115), on, off),
-        ],
-        alg,
-        seed,
-    )
 }
 
 /// Standard 10 Mb/s TCP dumbbell with `n` flows, all starting at 0.
@@ -169,4 +127,15 @@ pub fn trunk_utilization(
 ) -> f64 {
     let tp = net.trunk_throughput(engine, trunk).mean_after(from);
     tp / net.trunk_port(engine, trunk).capacity()
+}
+
+/// Run `f` as run `i` of an entry that runs several networks. Run 0
+/// feeds this thread's probe, so it is the entry's trace and live
+/// analysis; every later run goes without the probe.
+pub fn nth_run<R>(i: usize, f: impl FnOnce() -> R) -> R {
+    if i == 0 {
+        f()
+    } else {
+        without_thread_probe(f)
+    }
 }

@@ -4,16 +4,18 @@
 //! condense it into the quantities the text argues about: convergence
 //! time, queue behavior, fairness and utilization.
 
-use crate::common::{
-    greedy_bottleneck, onoff_bottleneck, tcp_rtt_dumbbell, AtmAlgorithm, TcpMechanism,
-};
+use crate::catalog::{run_to_horizon, with_algorithm, FIG19, FIG4};
+use crate::common::{nth_run, tcp_rtt_dumbbell, trunk_utilization, AtmAlgorithm, TcpMechanism};
 use phantom_atm::network::SessionId;
 use phantom_atm::network::TrunkIdx;
 use phantom_metrics::{convergence_time, jain_index, Table};
+use phantom_sim::probe::without_thread_probe;
 use phantom_sim::{SimDuration, SimTime};
 use phantom_tcp::network::TrunkIdx as TcpTrunkIdx;
 
-/// T1 — ATM algorithms on the greedy (F2) and on/off (F4) scenarios.
+/// T1 — ATM algorithms on the greedy (F2) and on/off (F4) scenarios:
+/// F19's and F4's scenes with the algorithm swapped. Phantom's greedy
+/// run is the table's trace.
 pub fn table_atm(seed: u64) -> Table {
     let mut t = Table::new(
         "table1",
@@ -27,7 +29,9 @@ pub fn table_atm(seed: u64) -> Table {
             "onoff_max_q",
         ],
     );
-    for alg in [
+    let greedy = FIG19.parse();
+    let onoff = FIG4.parse();
+    for (i, alg) in [
         AtmAlgorithm::Phantom,
         AtmAlgorithm::PhantomNi,
         AtmAlgorithm::Eprca,
@@ -35,25 +39,25 @@ pub fn table_atm(seed: u64) -> Table {
         AtmAlgorithm::Capc,
         AtmAlgorithm::Osu,
         AtmAlgorithm::Erica,
-    ] {
-        // Greedy scenario.
-        let (mut engine, net) = greedy_bottleneck(2, alg, seed);
-        engine.run_until(SimTime::from_millis(800));
-        let tp = net.trunk_throughput(&engine, TrunkIdx(0));
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let g = nth_run(i, || {
+            run_to_horizon(&with_algorithm(&greedy, alg.name()), seed)
+        });
+        let tp = g.net.trunk_throughput(&g.engine, TrunkIdx(0));
         let target = tp.mean_after(0.6);
         let conv = convergence_time(tp, target, 0.10).unwrap_or(f64::NAN) * 1e3;
         let rates: Vec<f64> = (0..2)
-            .map(|s| net.session_rate(&engine, SessionId(s)).mean_after(0.5))
+            .map(|s| g.net.session_rate(&g.engine, SessionId(s)).mean_after(0.5))
             .collect();
         let jain = jain_index(&rates);
-        let util = crate::common::trunk_utilization(&engine, &net, TrunkIdx(0), 0.5);
+        let util = trunk_utilization(&g.engine, &g.net, TrunkIdx(0), 0.5);
 
-        // On/off scenario.
-        let (mut engine2, net2) = onoff_bottleneck(alg, seed);
-        engine2.run_until(SimTime::from_millis(800));
-        let q = net2.trunk_queue(&engine2, TrunkIdx(0));
-        let mean_q = q.mean_after(0.2);
-        let max_q = net2.trunk_port(&engine2, TrunkIdx(0)).queue_high_water() as f64;
+        let o = without_thread_probe(|| run_to_horizon(&with_algorithm(&onoff, alg.name()), seed));
+        let mean_q = o.net.trunk_queue(&o.engine, TrunkIdx(0)).mean_after(0.2);
+        let max_q = o.net.trunk_port(&o.engine, TrunkIdx(0)).queue_high_water() as f64;
 
         t.add_row(alg.name(), vec![conv, jain, util, mean_q, max_q]);
     }
@@ -75,16 +79,22 @@ pub fn table_tcp(seed: u64) -> Table {
             "mean_q_pkts",
         ],
     );
-    for mech in [
+    for (i, mech) in [
         TcpMechanism::DropTail,
         TcpMechanism::Red,
         TcpMechanism::SelectiveDiscard,
         TcpMechanism::SelectiveQuench,
         TcpMechanism::SelectiveRed,
         TcpMechanism::EfciMark,
-    ] {
-        let (mut engine, net) = tcp_rtt_dumbbell(SimDuration::from_millis(25), mech, seed);
-        engine.run_until(SimTime::from_secs(20));
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (engine, net) = nth_run(i, || {
+            let (mut engine, net) = tcp_rtt_dumbbell(SimDuration::from_millis(25), mech, seed);
+            engine.run_until(SimTime::from_secs(20));
+            (engine, net)
+        });
         let g: Vec<f64> = (0..2)
             .map(|f| net.flow_goodput(&engine, f).mean_after(10.0))
             .collect();

@@ -1,9 +1,13 @@
 //! String-keyed access to every experiment, for the `repro` CLI and the
 //! benchmark harness.
 //!
-//! The catalog lists every figure and table of the paper. Most ATM
-//! figures are an embedded scene plus a reading ([`crate::catalog`]);
-//! the rest are Rust runners. Scenes registered at run time
+//! The catalog lists every figure and table of the paper. The ATM
+//! figures and extensions are an embedded scene plus a reading
+//! ([`crate::catalog`]), except EXT5 (MCR); the TCP figures, EXT5 and
+//! the five tables are Rust runners. An entry's analysis targets come
+//! from its scene's `analysis` block; a Rust runner's analysis is
+//! target-free. Every entry traces its first network run alone.
+//! Scenes registered at run time
 //! ([`phantom_scene::register_scene`]) come first: [`run_experiment`]
 //! and [`targets_for`] look them up before the catalog, so a loaded
 //! scene may reuse a catalog id (e.g. `fig2`) and shadow it.
@@ -130,10 +134,10 @@ pub fn all_experiments() -> Vec<Experiment> {
             catalog::FIG9
         ),
         scene!("fig11", "NI/EFCI-bit variant of fig9", catalog::FIG11),
-        fig!(
+        scene!(
             "fig12",
             "adaptive vs fixed gains (oscillation)",
-            crate::atm::adaptive_alpha::run
+            catalog::FIG12
         ),
         fig!(
             "fig14",
@@ -174,26 +178,22 @@ pub fn all_experiments() -> Vec<Experiment> {
             "TCP over an ABR-carried trunk (interconnection)",
             crate::tcp::over_abr::run
         ),
-        fig!(
-            "ext7",
-            "Phantom under injected link loss",
-            crate::atm::lossy::run
-        ),
-        fig!(
+        scene!("ext7", "Phantom under injected link loss", catalog::EXT7),
+        scene!(
             "ext6",
             "statistical multiplexing of stochastic on/off sessions",
-            crate::atm::statmux::run
+            catalog::EXT6
         ),
         fig!("ext5", "MCR guarantees under Phantom", crate::atm::mcr::run),
-        fig!(
+        scene!(
             "ext4",
             "ABR under unresponsive CBR/VBR background",
-            crate::atm::cbr_background::run
+            catalog::EXT4
         ),
-        fig!(
+        scene!(
             "ext2",
             "constant space vs per-VC state: Phantom vs ERICA",
-            crate::atm::erica_cmp::run
+            catalog::EXT2
         ),
         tab!(
             "table1",
@@ -237,7 +237,7 @@ pub fn run_experiment(id: &str, seed: u64) -> Option<ExperimentOutput> {
 
 /// The analysis targets `--analyze` checks a run of `id` against: the
 /// registered scene's, else the catalog entry's embedded scene's, else
-/// target-free analysis (tables, TCP figures, multi-run figures).
+/// target-free analysis (tables, TCP figures, EXT5).
 pub fn targets_for(id: &str) -> AnalysisTargets {
     if let Some(scene) = registered_scene(id) {
         return analysis_targets(&scene);

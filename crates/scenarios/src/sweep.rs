@@ -451,7 +451,9 @@ mod tests {
     /// Acceptance: every drop the run's telemetry counted appears as a
     /// `drop` event in the JSONL trace (the probe and the counters watch
     /// the same queue sites), and the per-interval MACR updates all land
-    /// too — across one ATM and one TCP experiment.
+    /// too — across one ATM and one TCP experiment. Both run a single
+    /// network: an entry's counters cover all its runs, its trace only
+    /// the first.
     #[test]
     fn every_drop_and_macr_update_lands_in_the_trace() {
         let dir = std::env::temp_dir().join(format!("phantom-sweep-accept-{}", std::process::id()));
@@ -462,7 +464,7 @@ mod tests {
             analyze_window: None,
             ..SweepOptions::default()
         };
-        let batch = jobs(&[("fig2", 1996), ("fig14", 1996)]);
+        let batch = jobs(&[("fig2", 1996), ("fig18", 1996)]);
         let out = run_sweep_with(&batch, 2, &opts);
         for (job, run) in batch.iter().zip(&out) {
             let path = dir.join(format!("{}-{}.jsonl", job.id, job.seed));
@@ -485,7 +487,7 @@ mod tests {
         assert!(macrs > 100, "fig2 updates MACR every interval: {macrs}");
         assert!(
             out[1].counters.drops > 0,
-            "fig14 drops packets, so the drop cross-check is not vacuous"
+            "fig18 drops packets, so the drop cross-check is not vacuous"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

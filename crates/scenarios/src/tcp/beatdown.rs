@@ -11,7 +11,7 @@
 //! recovers a much larger share.
 
 use super::collect_tcp;
-use crate::common::{tcp_parking_lot, TcpMechanism};
+use crate::common::{nth_run, tcp_parking_lot, TcpMechanism};
 use phantom_metrics::ExperimentResult;
 use phantom_sim::SimTime;
 use phantom_tcp::network::TrunkIdx;
@@ -27,16 +27,20 @@ pub fn run(seed: u64) -> ExperimentResult {
     );
     r.add_note("explicit: many-router bias, Fig. 17 panels");
 
-    let mut side = |mech: TcpMechanism, label: &str| -> Vec<f64> {
-        let (mut engine, net) = tcp_parking_lot(mech, seed);
-        engine.run_until(SimTime::from_secs_f64(RUN_SECS));
+    // The drop-tail run is the figure's trace.
+    let mut side = |i: usize, mech: TcpMechanism, label: &str| -> Vec<f64> {
+        let (engine, net) = nth_run(i, || {
+            let (mut engine, net) = tcp_parking_lot(mech, seed);
+            engine.run_until(SimTime::from_secs_f64(RUN_SECS));
+            (engine, net)
+        });
         collect_tcp(&engine, &net, &mut r, TrunkIdx(0), TAIL, label);
         (0..net.flows.len())
             .map(|f| net.flow_goodput(&engine, f).mean_after(TAIL))
             .collect()
     };
-    let dt = side(TcpMechanism::DropTail, "droptail");
-    let sd = side(TcpMechanism::SelectiveDiscard, "seldiscard");
+    let dt = side(0, TcpMechanism::DropTail, "droptail");
+    let sd = side(1, TcpMechanism::SelectiveDiscard, "seldiscard");
 
     let cross_mean = |v: &[f64]| v[1..].iter().sum::<f64>() / (v.len() - 1) as f64;
     r.add_metric("droptail_long_mbps", dt[0] * 8.0 / 1e6);

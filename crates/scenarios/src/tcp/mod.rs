@@ -24,15 +24,12 @@ pub(crate) fn collect_tcp(
     tail_from: f64,
     label: &str,
 ) {
-    use phantom_sim::stats::TimeSeries;
-    use phantom_sim::SimTime;
-
+    let to_mbps = |bytes_per_sec: f64| bytes_per_sec * 8.0 / 1e6;
     for f in 0..net.flows.len() {
-        let mut mbps = TimeSeries::new();
-        for (t, v) in net.flow_goodput(engine, f).iter() {
-            mbps.push(SimTime::from_secs_f64(t), v * 8.0 / 1e6);
-        }
-        result.add_series(&format!("goodput_mbps_f{f}_{label}"), mbps);
+        result.add_series(
+            &format!("goodput_mbps_f{f}_{label}"),
+            net.flow_goodput(engine, f).map_values(to_mbps),
+        );
     }
     result.add_series(
         &format!("queue_pkts_{label}"),
@@ -40,11 +37,7 @@ pub(crate) fn collect_tcp(
     );
     let macr = net.trunk_macr(engine, trunk);
     if !macr.is_empty() {
-        let mut mbps = TimeSeries::new();
-        for (t, v) in macr.iter() {
-            mbps.push(SimTime::from_secs_f64(t), v * 8.0 / 1e6);
-        }
-        result.add_series(&format!("macr_mbps_{label}"), mbps);
+        result.add_series(&format!("macr_mbps_{label}"), macr.map_values(to_mbps));
     }
 
     let port = net.trunk_port(engine, trunk);

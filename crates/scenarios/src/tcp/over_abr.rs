@@ -17,6 +17,10 @@
 //!    bandwidth trace* (cells/s × 48 payload bytes). Two Reno flows
 //!    cross it, once with drop-tail and once with Selective Discard.
 //!
+//! The ATM stage is the figure's trace; the TCP runs go without the
+//! thread probe. It stays hand-built because a scene with declared
+//! trunks cannot set the 20 ms rate-sampling interval.
+//!
 //! The consistency claim to check: the Phantom-driven router tracks the
 //! varying allocation (its MACR measures residual against the *current*
 //! capacity each interval), so it rides the ABR swings with a small
@@ -29,6 +33,7 @@ use phantom_atm::network::SessionId;
 use phantom_atm::units::cps_to_mbps;
 use phantom_atm::{NetworkBuilder, Traffic};
 use phantom_metrics::ExperimentResult;
+use phantom_sim::probe::without_thread_probe;
 use phantom_sim::{Engine, SimDuration, SimTime};
 use phantom_tcp::network::TrunkIdx;
 use phantom_tcp::TcpNetworkBuilder;
@@ -144,7 +149,7 @@ pub fn run(seed: u64) -> ExperimentResult {
             TcpMechanism::DropTail => "droptail",
             _ => "seldiscard",
         };
-        let (engine, net) = run_tcp_over_trace(&trace, mech, seed);
+        let (engine, net) = without_thread_probe(|| run_tcp_over_trace(&trace, mech, seed));
         collect_tcp(&engine, &net, &mut r, TrunkIdx(0), TAIL, label);
         let delivered: f64 = (0..2)
             .map(|f| net.flow_goodput(&engine, f).mean_after(TAIL))

@@ -8,7 +8,7 @@
 //! heterogeneous-RTT dumbbell.
 
 use super::collect_tcp;
-use crate::common::{tcp_rtt_dumbbell_cap, TcpMechanism};
+use crate::common::{nth_run, tcp_rtt_dumbbell_cap, TcpMechanism};
 use phantom_metrics::ExperimentResult;
 use phantom_sim::{SimDuration, SimTime};
 use phantom_tcp::network::TrunkIdx;
@@ -18,17 +18,22 @@ pub fn run(seed: u64) -> ExperimentResult {
     let mut r = ExperimentResult::new("fig16", "plain RED vs Selective RED on the RTT dumbbell");
     r.add_note("reconstructed §4: RED with Phantom eligibility predicate");
 
-    let mut side = |mech: TcpMechanism, label: &str| -> (f64, f64) {
-        let (mut engine, net) = tcp_rtt_dumbbell_cap(SimDuration::from_millis(25), mech, seed, 200);
-        engine.run_until(SimTime::from_secs(20));
+    // The plain-RED run is the figure's trace.
+    let mut side = |i: usize, mech: TcpMechanism, label: &str| -> (f64, f64) {
+        let (engine, net) = nth_run(i, || {
+            let (mut engine, net) =
+                tcp_rtt_dumbbell_cap(SimDuration::from_millis(25), mech, seed, 200);
+            engine.run_until(SimTime::from_secs(20));
+            (engine, net)
+        });
         collect_tcp(&engine, &net, &mut r, TrunkIdx(0), 10.0, label);
         (
             net.flow_goodput(&engine, 0).mean_after(10.0),
             net.flow_goodput(&engine, 1).mean_after(10.0),
         )
     };
-    let (red_s, red_l) = side(TcpMechanism::Red, "red");
-    let (sel_s, sel_l) = side(TcpMechanism::SelectiveRed, "selred");
+    let (red_s, red_l) = side(0, TcpMechanism::Red, "red");
+    let (sel_s, sel_l) = side(1, TcpMechanism::SelectiveRed, "selred");
 
     r.add_metric("red_ratio", red_s / red_l.max(1.0));
     r.add_metric("selred_ratio", sel_s / sel_l.max(1.0));

@@ -10,6 +10,7 @@
 use super::collect_tcp;
 use crate::common::{tcp_rtt_dumbbell, TcpMechanism};
 use phantom_metrics::ExperimentResult;
+use phantom_sim::probe::without_thread_probe;
 use phantom_sim::{SimDuration, SimTime};
 use phantom_tcp::network::TrunkIdx;
 
@@ -37,6 +38,8 @@ pub fn run(seed: u64) -> ExperimentResult {
     );
     r.add_note("explicit: left/right panels of the paper's Fig. 14");
 
+    // The drop-tail run is the figure's trace.
+
     let (dt_s, dt_l, dt_side) = run_side(TcpMechanism::DropTail, seed);
     collect_tcp(
         &dt_side.engine,
@@ -46,7 +49,8 @@ pub fn run(seed: u64) -> ExperimentResult {
         TAIL,
         "droptail",
     );
-    let (sd_s, sd_l, sd_side) = run_side(TcpMechanism::SelectiveDiscard, seed);
+    let (sd_s, sd_l, sd_side) =
+        without_thread_probe(|| run_side(TcpMechanism::SelectiveDiscard, seed));
     collect_tcp(
         &sd_side.engine,
         &sd_side.net,

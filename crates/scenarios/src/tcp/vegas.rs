@@ -26,6 +26,7 @@
 use super::collect_tcp;
 use crate::common::TcpMechanism;
 use phantom_metrics::ExperimentResult;
+use phantom_sim::probe::without_thread_probe;
 use phantom_sim::{Engine, SimDuration, SimTime};
 use phantom_tcp::network::{CcAlgorithm, TrunkIdx};
 use phantom_tcp::{TcpNetworkBuilder, VegasConfig};
@@ -68,7 +69,8 @@ pub fn run(seed: u64) -> ExperimentResult {
     );
     r.add_note("explicit discussion, no figure number: Vegas [BP95] imbalance modes");
 
-    // Panel 1: same thresholds, staggered start, drop-tail.
+    // Panel 1: same thresholds, staggered start, drop-tail. Its run is
+    // the figure's trace.
     let (e, n) = run_pair(
         vegas(1.0, 3.0),
         vegas(1.0, 3.0),
@@ -84,13 +86,15 @@ pub fn run(seed: u64) -> ExperimentResult {
     r.add_metric("staggered_ratio", early / late.max(0.01));
 
     // Panel 2: mismatched thresholds (α0 > β1), drop-tail.
-    let (e, n) = run_pair(
-        vegas(4.0, 6.0),
-        vegas(1.0, 3.0),
-        SimTime::ZERO,
-        TcpMechanism::DropTail,
-        seed,
-    );
+    let (e, n) = without_thread_probe(|| {
+        run_pair(
+            vegas(4.0, 6.0),
+            vegas(1.0, 3.0),
+            SimTime::ZERO,
+            TcpMechanism::DropTail,
+            seed,
+        )
+    });
     collect_tcp(&e, &n, &mut r, TrunkIdx(0), TAIL, "mismatched");
     let greedy = n.flow_goodput(&e, 0).mean_after(TAIL) * 8.0 / 1e6;
     let modest = n.flow_goodput(&e, 1).mean_after(TAIL) * 8.0 / 1e6;
@@ -99,13 +103,15 @@ pub fn run(seed: u64) -> ExperimentResult {
     r.add_metric("mismatched_ratio", greedy / modest.max(0.01));
 
     // Panel 3: same mismatch, Selective Discard router.
-    let (e, n) = run_pair(
-        vegas(4.0, 6.0),
-        vegas(1.0, 3.0),
-        SimTime::ZERO,
-        TcpMechanism::SelectiveDiscard,
-        seed,
-    );
+    let (e, n) = without_thread_probe(|| {
+        run_pair(
+            vegas(4.0, 6.0),
+            vegas(1.0, 3.0),
+            SimTime::ZERO,
+            TcpMechanism::SelectiveDiscard,
+            seed,
+        )
+    });
     collect_tcp(&e, &n, &mut r, TrunkIdx(0), TAIL, "mismatched_sd");
     let greedy_sd = n.flow_goodput(&e, 0).mean_after(TAIL) * 8.0 / 1e6;
     let modest_sd = n.flow_goodput(&e, 1).mean_after(TAIL) * 8.0 / 1e6;

@@ -13,7 +13,7 @@
 //!   srtt)`); very long windows make the stamp stale and enforcement
 //!   sloppy.
 
-use crate::common::TcpMechanism;
+use crate::common::{nth_run, TcpMechanism};
 use phantom_core::PhantomConfig;
 use phantom_metrics::{jain_index, Table};
 use phantom_sim::{Engine, SimDuration, SimTime};
@@ -66,38 +66,50 @@ pub fn table_tcp_ablation(seed: u64) -> Table {
         ],
     );
     let dt10 = SimDuration::from_millis(10);
+    // The first run (sd-u2) is the table's trace.
+    let mut runs = 0;
+    let mut run = |qdisc: &mut dyn FnMut() -> Box<dyn QueueDiscipline>, cr_interval| {
+        runs += 1;
+        row_from(nth_run(runs - 1, || run_dumbbell(qdisc, cr_interval, seed)))
+    };
 
     // u sweep.
     for u in [2.0, 5.0, 10.0] {
         let cfg = PhantomConfig::paper().with_utilization_factor(u);
-        let stats = run_dumbbell(&mut || Box::new(SelectiveDiscard::new(cfg)), dt10, seed);
-        t.add_row(&format!("sd-u{u}"), row_from(stats));
+        t.add_row(
+            &format!("sd-u{u}"),
+            run(&mut || Box::new(SelectiveDiscard::new(cfg)), dt10),
+        );
     }
 
     // Queue gate sweep (u = 5).
     for gate in [0usize, 5, 20] {
-        let stats = run_dumbbell(
-            &mut || Box::new(SelectiveDiscard::paper().with_min_queue(gate)),
-            dt10,
-            seed,
+        t.add_row(
+            &format!("sd-gate{gate}"),
+            run(
+                &mut || Box::new(SelectiveDiscard::paper().with_min_queue(gate)),
+                dt10,
+            ),
         );
-        t.add_row(&format!("sd-gate{gate}"), row_from(stats));
     }
 
     // CR interval sweep (u = 5, ungated). The source stretches the window
     // to at least one smoothed RTT regardless.
     for (label, ms) in [("cr5ms", 5u64), ("cr50ms", 50), ("cr200ms", 200)] {
-        let stats = run_dumbbell(
-            &mut || Box::new(SelectiveDiscard::paper()),
-            SimDuration::from_millis(ms),
-            seed,
+        t.add_row(
+            &format!("sd-{label}"),
+            run(
+                &mut || Box::new(SelectiveDiscard::paper()),
+                SimDuration::from_millis(ms),
+            ),
         );
-        t.add_row(&format!("sd-{label}"), row_from(stats));
     }
 
     // Reference rows.
-    let stats = run_dumbbell(&mut || TcpMechanism::DropTail.boxed(), dt10, seed);
-    t.add_row("drop-tail", row_from(stats));
+    t.add_row(
+        "drop-tail",
+        run(&mut || TcpMechanism::DropTail.boxed(), dt10),
+    );
     t
 }
 

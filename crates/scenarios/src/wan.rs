@@ -10,16 +10,19 @@
 //! loop also paces the sources' ramp-up, since each AIR increase waits
 //! for a backward RM to arrive).
 
-use crate::common::AtmAlgorithm;
-use phantom_atm::network::SessionId;
-use phantom_atm::network::{NetworkBuilder, TrunkIdx};
+use crate::catalog::run_to_horizon;
+use crate::common::{nth_run, trunk_utilization};
+use phantom_atm::network::{SessionId, TrunkIdx};
 use phantom_atm::units::{cps_to_mbps, mbps_to_cps};
-use phantom_atm::Traffic;
 use phantom_core::fixed_point::single_link_macr;
 use phantom_metrics::{convergence_time, jain_index, Table};
-use phantom_sim::{Engine, SimDuration, SimTime};
+use phantom_scene::parse_scene;
 
-/// Run T4.
+/// Two greedy sessions on one 150 Mb/s trunk for 1.5 s; each row swaps
+/// the trunk's `prop_us`.
+const SCENE: &str = include_str!("../../../scenes/catalog/table4.json");
+
+/// Run T4. The LAN row is the table's trace.
 pub fn table_wan(seed: u64) -> Table {
     let mut t = Table::new(
         "table4",
@@ -35,30 +38,28 @@ pub fn table_wan(seed: u64) -> Table {
     );
     let c = mbps_to_cps(150.0);
     let pred = single_link_macr(c, 2, 5.0);
-    for (label, prop_us) in [
-        ("10us(lan)", 10u64),
-        ("1ms(200km)", 1_000),
-        ("5ms(1000km)", 5_000),
-        ("10ms(2000km)", 10_000),
-    ] {
-        let mut b = NetworkBuilder::new();
-        let s1 = b.switch("s1");
-        let s2 = b.switch("s2");
-        b.trunk(s1, s2, 150.0, SimDuration::from_micros(prop_us));
-        for _ in 0..2 {
-            b.session(&[s1, s2], Traffic::greedy());
-        }
-        let mut engine = Engine::new(seed);
-        let net = b.build(&mut engine, &mut || AtmAlgorithm::Phantom.boxed());
-        engine.run_until(SimTime::from_millis(1500));
+    let scene = parse_scene(SCENE).expect("the embedded table4 scene is valid");
+    for (i, (label, prop_us)) in [
+        ("10us(lan)", 10.0),
+        ("1ms(200km)", 1_000.0),
+        ("5ms(1000km)", 5_000.0),
+        ("10ms(2000km)", 10_000.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut delayed = scene.clone();
+        delayed.trunks[0].prop_us = prop_us;
+        let run = nth_run(i, || run_to_horizon(&delayed, seed));
+        let (engine, net) = (&run.engine, &run.net);
 
-        let macr = net.trunk_macr(&engine, TrunkIdx(0));
+        let macr = net.trunk_macr(engine, TrunkIdx(0));
         let conv = convergence_time(macr, pred, 0.15).unwrap_or(f64::NAN) * 1e3;
         let rates: Vec<f64> = (0..2)
-            .map(|s| net.session_rate(&engine, SessionId(s)).mean_after(1.0))
+            .map(|s| net.session_rate(engine, SessionId(s)).mean_after(1.0))
             .collect();
-        let util = crate::common::trunk_utilization(&engine, &net, TrunkIdx(0), 1.0);
-        let max_q = net.trunk_port(&engine, TrunkIdx(0)).queue_high_water() as f64;
+        let util = trunk_utilization(engine, net, TrunkIdx(0), 1.0);
+        let max_q = net.trunk_port(engine, TrunkIdx(0)).queue_high_water() as f64;
         let macr_err = 100.0 * (cps_to_mbps(macr.mean_after(1.0)) - cps_to_mbps(pred)).abs()
             / cps_to_mbps(pred);
         t.add_row(label, vec![conv, jain_index(&rates), util, max_q, macr_err]);

@@ -186,13 +186,7 @@ fn collect_standard(
     traced: &[SessionId],
     tail_from: f64,
 ) {
-    let in_mbps = |series: &TimeSeries| {
-        let mut out = TimeSeries::new();
-        for (t, v) in series.iter() {
-            out.push(SimTime::from_secs_f64(t), cps_to_mbps(v));
-        }
-        out
-    };
+    let in_mbps = |series: &TimeSeries| series.map_values(cps_to_mbps);
     result.add_series("macr_mbps", in_mbps(net.trunk_macr(engine, trunk)));
     result.add_series("queue_cells", net.trunk_queue(engine, trunk).clone());
     for &s in traced {

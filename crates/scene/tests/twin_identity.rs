@@ -2,7 +2,9 @@
 //!
 //! * every catalog figure that runs from an embedded scene produces the
 //!   trace body it produced as a hand-written runner — pinned by FNV-1a
-//!   digest at seed 1996 — at `--jobs 1` and `--jobs 4`;
+//!   digest at seed 1996 — at `--jobs 1` and `--jobs 4`, and no trace
+//!   steps back in time: a figure that compares its scene with variants
+//!   traces the scene's own run alone;
 //! * the committed churn scene (2 → 8 → 2 sessions) re-converges to
 //!   `C/(1+n·u)` within 5% in every perturbation epoch, and stays
 //!   inside its committed analysis baseline.
@@ -19,9 +21,11 @@ const SEED: u64 = 1996;
 
 /// FNV-1a digests of the trace bodies (everything after the manifest
 /// line) at [`SEED`], recorded from the hand-written Rust runners these
-/// scenes replaced. A digest may change only together with a
+/// scenes replaced. For fig12, ext2, ext4, ext6 and ext7, which compare
+/// their scene with variants, that is the runner's trace up to its
+/// first run's end. A digest may change only together with a
 /// documented, deliberate trace re-baseline.
-const CATALOG_DIGESTS: [(&str, u64); 13] = [
+const CATALOG_DIGESTS: [(&str, u64); 18] = [
     ("fig2", 0x4e64_fe28_e0a1_f1bc),
     ("fig3", 0x560e_45b7_4ed7_c0c3),
     ("fig4", 0xf244_33f2_ecf2_2561),
@@ -31,10 +35,15 @@ const CATALOG_DIGESTS: [(&str, u64); 13] = [
     ("fig8", 0xd45e_a0c5_269c_531f),
     ("fig9", 0x77b9_aa54_d74c_a4d2),
     ("fig11", 0x33b1_02be_b241_36d2),
+    ("fig12", 0x9d92_d35c_3650_c390),
     ("fig19", 0x661b_c90f_34b7_ea41),
     ("fig20", 0x00ea_90a6_5bce_db47),
     ("fig21", 0x85f5_b33c_7a90_f190),
     ("fig22", 0xa433_f70e_8017_2779),
+    ("ext2", 0x6bac_29b1_8e58_b354),
+    ("ext4", 0x92a9_63d9_2146_bff6),
+    ("ext6", 0x918e_56a1_fc14_5a25),
+    ("ext7", 0x8e94_b3c2_fdf8_2c5e),
 ];
 
 fn scenes_dir() -> PathBuf {
@@ -48,9 +57,9 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Run `ids` traced at `jobs` and return each trace body's digest. The
-/// traces are deleted as soon as they are hashed (fig22 alone writes
-/// ~60 MB).
+/// Run `ids` traced at `jobs` and return each trace body's digest,
+/// asserting on the way that no event's time steps back. The traces are
+/// deleted as soon as they are hashed (ext6 alone writes ~130 MB).
 fn trace_digests(ids: &[&str], jobs: usize) -> Vec<u64> {
     let dir = fresh_dir(&format!("digests-j{jobs}"));
     let batch: Vec<SweepJob> = ids
@@ -78,11 +87,36 @@ fn trace_digests(ids: &[&str], jobs: usize) -> Vec<u64> {
                 .expect("manifest line")
                 + 1;
             assert!(text.len() > body, "{id}: trace must contain events");
+            assert_clock_never_steps_back(id, &text[body..]);
             fnv1a_64(&text[body..])
         })
         .collect();
     let _ = std::fs::remove_dir_all(&dir);
     digests
+}
+
+/// Every event line starts `{"t":<seconds>,`; assert those times never
+/// decrease.
+fn assert_clock_never_steps_back(id: &str, body: &[u8]) {
+    let mut last = 0.0f64;
+    for (n, line) in body
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
+        .enumerate()
+    {
+        let line = std::str::from_utf8(line).expect("trace lines are UTF-8");
+        let t: f64 = line
+            .strip_prefix("{\"t\":")
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|t| t.parse().ok())
+            .unwrap_or_else(|| panic!("{id}: event line {} has no leading `t`", n + 2));
+        assert!(
+            t >= last,
+            "{id}: line {} steps back in time, {t} after {last}",
+            n + 2
+        );
+        last = t;
+    }
 }
 
 /// The recorded digests hold at `--jobs 1` and at `--jobs 4`, four

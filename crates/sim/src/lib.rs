@@ -96,8 +96,8 @@ pub use event::CALENDAR;
 pub use fifo::BoundedFifo;
 pub use flight::{FlightGuard, FlightProbe};
 pub use probe::{
-    install_thread_probe, take_thread_probe, DropReason, JsonlProbe, KindSet, Probe, ProbeEvent,
-    ProbeGuard, ProbeKind, RingProbe,
+    install_thread_probe, take_thread_probe, without_thread_probe, DropReason, JsonlProbe, KindSet,
+    Probe, ProbeEvent, ProbeGuard, ProbeKind, RingProbe,
 };
 pub use profile::{CalendarStats, ProfileEntry, ProfileMarker, ProfileReport};
 pub use rng::SeedStream;

@@ -273,6 +273,23 @@ pub fn take_thread_probe() -> Option<Box<dyn Probe>> {
     probe
 }
 
+/// Run `f` with this thread's probe taken away, and put the probe back
+/// afterwards, also when `f` panics. A harness that runs several
+/// networks for one trace runs all but the first through this, so the
+/// trace (and any analyzer on the probe) holds that first run alone.
+pub fn without_thread_probe<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Box<dyn Probe>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if let Some(p) = self.0.take() {
+                install_thread_probe(p);
+            }
+        }
+    }
+    let _restore = Restore(take_thread_probe());
+    f()
+}
+
 /// Flush this thread's probe (if any) without uninstalling it.
 ///
 /// Checkpointing needs this: a checkpoint records the trace file's byte
@@ -1046,6 +1063,25 @@ mod tests {
         let inner = f.into_inner();
         assert_eq!(inner.total(), 1);
         assert_eq!(inner.count(ProbeKind::MacrUpdate), 1);
+    }
+
+    #[test]
+    fn without_thread_probe_hides_the_probe_and_always_restores_it() {
+        struct Count(Rc<Cell<u32>>);
+        impl Probe for Count {
+            fn on_event(&mut self, _t: SimTime, _node: NodeId, _ev: &ProbeEvent) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let seen = Rc::new(Cell::new(0));
+        let _guard = ProbeGuard::install(Box::new(Count(seen.clone())));
+        let ev = ProbeEvent::SessionStart { session: 0 };
+        without_thread_probe(|| emit(t(1), NodeId(0), || ev));
+        assert_eq!(seen.get(), 0, "the hidden probe saw an event");
+        let failed = std::panic::catch_unwind(|| without_thread_probe(|| panic!("run failed")));
+        assert!(failed.is_err());
+        emit(t(2), NodeId(0), || ev);
+        assert_eq!(seen.get(), 1, "the probe was not put back after a panic");
     }
 
     #[test]

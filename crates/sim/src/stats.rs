@@ -66,6 +66,15 @@ impl TimeSeries {
         self.values.last().copied()
     }
 
+    /// The same sample times with `f` applied to every value, sized
+    /// exactly (no growth slack).
+    pub fn map_values(&self, f: impl Fn(f64) -> f64) -> TimeSeries {
+        TimeSeries {
+            times: self.times.clone(),
+            values: self.values.iter().map(|&v| f(v)).collect(),
+        }
+    }
+
     /// Iterate over `(t_seconds, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         self.times.iter().copied().zip(self.values.iter().copied())
@@ -532,6 +541,10 @@ mod tests {
         assert_eq!(ts.max(), 30.0);
         assert_eq!(ts.min(), 10.0);
         assert_eq!(ts.last(), Some(30.0));
+        let doubled = ts.map_values(|v| 2.0 * v);
+        assert_eq!(doubled.times(), ts.times());
+        assert_eq!(doubled.values(), &[20.0, 40.0, 60.0]);
+        assert_eq!(doubled.heap_bytes(), 6 * 8, "no growth slack");
     }
 
     #[test]

@@ -102,31 +102,34 @@ fn committed_fig2_baseline_accepts_the_unperturbed_run() {
     assert!(failures.is_empty(), "unexpected regressions: {failures:?}");
 }
 
-/// A figure's live analysis describes that figure's run alone: fig22
-/// runs its CAPC-vs-Phantom comparison outside the tap, so the link
-/// cannot look busier than its capacity.
+/// A figure's live analysis describes that figure's run alone: fig22,
+/// fig12 and ext7 run their comparisons outside the tap, so the link
+/// cannot look busier than its capacity (and, in a debug build, the
+/// analyzer's clock never steps back).
 #[test]
 fn fig22_live_analysis_sees_only_its_own_run() {
     let opts = SweepOptions {
         analyze_window: Some(DEFAULT_WINDOW_SECS),
         ..SweepOptions::default()
     };
-    let runs = run_sweep_with(
-        &[SweepJob {
-            id: "fig22".into(),
+    let jobs: Vec<SweepJob> = ["fig22", "fig12", "ext7"]
+        .into_iter()
+        .map(|id| SweepJob {
+            id: id.into(),
             seed: SEED,
-        }],
-        1,
-        &opts,
-    );
-    let report = runs[0].analysis.as_ref().expect("analysis enabled");
-    let util = report
-        .metric("utilization_tail")
-        .expect("fig22's scene names its bottleneck capacity");
-    assert!(
-        util <= 1.01,
-        "fig22 utilization_tail {util} exceeds the link"
-    );
+        })
+        .collect();
+    for run in run_sweep_with(&jobs, 1, &opts) {
+        let id = &run.job.id;
+        let report = run.analysis.as_ref().expect("analysis enabled");
+        let util = report
+            .metric("utilization_tail")
+            .unwrap_or_else(|| panic!("{id}'s scene names its bottleneck capacity"));
+        assert!(
+            util <= 1.01,
+            "{id} utilization_tail {util} exceeds the link"
+        );
+    }
 }
 
 /// The regression gate has teeth: rebuild fig2's exact topology but with
