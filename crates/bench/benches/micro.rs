@@ -3,15 +3,19 @@
 //! discipline (the paper's Fig. 18 pseudo-code among them — bench target
 //! `fig_seldiscard_cost` of DESIGN.md), the raw event throughput of
 //! the simulation kernel (and its cost per dispatch as the node working
-//! set outgrows the caches), and the trace writer's cost per line.
+//! set outgrows the caches), and the cost per trace line of each observer
+//! layer: the JSONL writer, the live analysis tap, the tee over both and
+//! the writer into a file.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use phantom_analyze::{AnalysisSink, AnalysisTargets, StreamingAnalyzer, DEFAULT_WINDOW_SECS};
 use phantom_atm::allocator::{PortMeasurement, RateAllocator};
 use phantom_atm::cell::{RmCell, VcId};
 use phantom_baselines::{Aprc, Capc, Eprca, Erica};
 use phantom_core::{PhantomAllocator, PhantomNi};
+use phantom_metrics::manifest::{Manifest, TRACE_SCHEMA};
 use phantom_sim::event::EventQueue;
-use phantom_sim::probe::{event_to_json, JsonlProbe, Probe, ProbeEvent};
+use phantom_sim::probe::{event_to_json, JsonlProbe, Probe, ProbeEvent, TeeProbe};
 use phantom_sim::{Ctx, Engine, Node, NodeId, SimDuration, SimTime};
 use phantom_tcp::packet::{FlowId, Packet};
 use phantom_tcp::qdisc::{DropTail, QueueDiscipline, Red, SelectiveDiscard, SelectiveQuench};
@@ -335,41 +339,80 @@ fn fig2_like_mix() -> Vec<(SimTime, NodeId, ProbeEvent)> {
     mix
 }
 
-/// The trace-writer layer: [`fig2_like_mix`] through a `JsonlProbe`
-/// into `io::sink()`. One iteration encodes the 2,000-line mix; the
-/// measurement pass also prints ns/line and bytes/s.
+/// The observer layers, each fed [`fig2_like_mix`]: the trace writer
+/// alone (`JsonlProbe` into `io::sink()`), the live analysis tap alone
+/// (`AnalysisSink`), both under the `TeeProbe` a traced and analyzed
+/// run installs (tap first, as `ProbeStack` orders them), and the
+/// writer into a real temp file. One iteration feeds the 2,000-line
+/// mix; the measurement pass also prints ns/line and the trace bytes/s
+/// the layer keeps up with.
 fn bench_trace(c: &mut Criterion) {
     let mix = fig2_like_mix();
     let mix_bytes: usize = mix
         .iter()
         .map(|(t, node, ev)| event_to_json(*t, *node, ev).len() + 1)
         .sum();
+    let analysis_sink = || {
+        let manifest = Manifest::new(TRACE_SCHEMA, "micro", 1, "micro");
+        let analyzer =
+            StreamingAnalyzer::new(&manifest, AnalysisTargets::default(), DEFAULT_WINDOW_SECS);
+        AnalysisSink::new(analyzer).0
+    };
+    let file_path =
+        std::env::temp_dir().join(format!("phantom-micro-{}.jsonl", std::process::id()));
     let mut group = c.benchmark_group("trace");
+    trace_row(&mut group, &mix, mix_bytes, "jsonl_encode", || {
+        JsonlProbe::new(std::io::sink())
+    });
+    trace_row(&mut group, &mix, mix_bytes, "analyzer_tap", analysis_sink);
+    trace_row(&mut group, &mix, mix_bytes, "tee_fanout", || {
+        TeeProbe::new()
+            .and(Box::new(analysis_sink()))
+            .and(Box::new(JsonlProbe::new(std::io::sink())))
+    });
+    trace_row(&mut group, &mix, mix_bytes, "jsonl_file", || {
+        let file = std::fs::File::create(&file_path).expect("create temp trace file");
+        JsonlProbe::new(file)
+    });
+    let _ = std::fs::remove_file(&file_path);
+    group.finish();
+}
+
+/// One `trace/{name}` row: every pass feeds `mix` through a fresh probe
+/// from `make`, dropped (and so flushed) inside the pass.
+fn trace_row<P: Probe>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    mix: &[(SimTime, NodeId, ProbeEvent)],
+    mix_bytes: usize,
+    name: &str,
+    make: impl Fn() -> P,
+) {
     let mut pass = 0;
-    group.bench_function("jsonl_encode", |b| {
+    group.bench_function(name, |b| {
         pass += 1;
-        let mut probe = JsonlProbe::new(std::io::sink());
+        let mut probe = make();
+        let mut lines = 0u64;
         let start = Instant::now();
         b.iter(|| {
-            for (t, node, ev) in &mix {
+            for (t, node, ev) in mix {
                 probe.on_event(*t, *node, criterion::black_box(ev));
             }
+            lines += mix.len() as u64;
         });
+        drop(probe);
         let secs = start.elapsed().as_secs_f64();
-        let lines = probe.written() as f64;
         // The first pass is the warm-up.
         if pass == 2 {
-            let bytes = lines / mix.len() as f64 * mix_bytes as f64;
+            let bytes = lines as f64 / mix.len() as f64 * mix_bytes as f64;
             println!(
                 "bench: {:50} {:.1} ns/line, {:.0} MB/s ({:.1} bytes/line)",
-                "trace/jsonl_encode",
-                secs * 1e9 / lines,
+                format!("trace/{name}"),
+                secs * 1e9 / lines as f64,
                 bytes / secs / 1e6,
                 mix_bytes as f64 / mix.len() as f64
             );
         }
     });
-    group.finish();
 }
 
 criterion_group!(

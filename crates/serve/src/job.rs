@@ -77,6 +77,10 @@ pub struct Job {
     pub sim_end_secs: f64,
     /// Wall-clock seconds the run took (set when terminal).
     pub wall_secs: Option<f64>,
+    /// Bumped, under the server's state lock, whenever the job's spool
+    /// may have grown or its state changed; trace streamers wait for it
+    /// to move.
+    pub(crate) generation: u64,
 }
 
 impl Job {
@@ -101,6 +105,7 @@ impl Job {
             sim_secs: 0.0,
             sim_end_secs,
             wall_secs: None,
+            generation: 0,
         }
     }
 

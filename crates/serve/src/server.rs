@@ -9,6 +9,11 @@
 //! job heartbeats update it a few times per second, which is far below
 //! contention territory.
 //!
+//! Nothing on a job's path polls. Trace streamers wait on one condvar
+//! paired with that mutex; the worker bumps the job's generation and
+//! wakes them after every heartbeat slice, when the job ends and when a
+//! queued job is cancelled, so a stream closes as soon as its job does.
+//!
 //! Graceful drain (SIGTERM or [`Server::drain`]): admission flips to
 //! `503`, queued and running jobs finish, workers exit, the listener
 //! closes, and [`Server::wait`] returns `Ok` — the CLI then exits 0.
@@ -34,8 +39,6 @@ use std::time::Duration;
 const JSON_TYPE: &str = "application/json";
 /// Content type for streamed JSONL traces.
 const NDJSON_TYPE: &str = "application/x-ndjson";
-/// Poll cadence of the live trace/analysis streamers.
-const STREAM_POLL: Duration = Duration::from_millis(20);
 /// Heartbeat slices per job: the engine is pre-driven to the horizon in
 /// this many pieces so the job table can report live progress. The
 /// results are identical to one big `run_until`.
@@ -102,6 +105,8 @@ struct Shared {
     spool: PathBuf,
     state: Mutex<State>,
     work_ready: Condvar,
+    /// Paired with `state`: signalled whenever a job's generation moves.
+    job_changed: Condvar,
     /// Admission off; workers exit once the queue empties.
     draining: AtomicBool,
     /// Accept loop should stop (set after workers finish draining).
@@ -138,6 +143,7 @@ impl Server {
                 busy_workers: 0,
             }),
             work_ready: Condvar::new(),
+            job_changed: Condvar::new(),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             metrics: ServerMetrics::default(),
@@ -172,6 +178,9 @@ impl Server {
     /// Begin a graceful drain: stop admitting, let queued and running
     /// jobs finish. Non-blocking; follow with [`Server::wait`].
     pub fn drain(&self) {
+        // Under the state lock: a worker reads `draining` under it before
+        // it waits, so it is either past that read or already waiting.
+        let _state = self.shared.state.lock().expect("state poisoned");
         self.shared.draining.store(true, Ordering::SeqCst);
         // Wake idle workers so they can observe the drain and exit.
         self.shared.work_ready.notify_all();
@@ -394,6 +403,7 @@ fn cancel_job(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str) -> std::io
             job.cancel.cancel();
             if job.state == JobState::Queued {
                 job.state = JobState::Cancelled;
+                publish(shared, job);
                 shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
                 state.queue.retain(|&q| q != i);
             }
@@ -405,42 +415,63 @@ fn cancel_job(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str) -> std::io
     }
 }
 
-/// The `(state, trace file exists)` pair the streamers poll.
-fn job_state(shared: &Shared, i: usize) -> (JobState, PathBuf) {
+/// Mark `job` changed and wake the streamers following it. The caller
+/// holds the state lock, so a streamer that read the old generation is
+/// already waiting on `job_changed` and cannot miss the wake-up.
+fn publish(shared: &Shared, job: &mut Job) {
+    job.generation += 1;
+    shared.job_changed.notify_all();
+}
+
+/// Block until job `i`'s generation differs from `seen` or the job is
+/// terminal, and return its generation and state at that moment.
+fn next_change(shared: &Shared, i: usize, seen: u64) -> (u64, JobState) {
     let state = shared.state.lock().expect("state poisoned");
-    (state.jobs[i].state, state.jobs[i].trace_path.clone())
+    let state = shared
+        .job_changed
+        .wait_while(state, |s| {
+            s.jobs[i].generation == seen && !s.jobs[i].state.is_terminal()
+        })
+        .expect("state poisoned");
+    (state.jobs[i].generation, state.jobs[i].state)
 }
 
 /// `GET /v1/jobs/{id}/trace`: chunked live tail of the spool file.
-/// Bytes appear as the worker's `BufWriter` flushes; the stream ends
-/// when the job is terminal and the file fully sent, at which point
-/// the client holds exactly the bytes `phantom run --trace` writes.
+/// Bytes appear as the worker's `BufWriter` flushes and are sent at
+/// heartbeat-slice granularity; the stream ends when the job is
+/// terminal and the file fully sent, at which point the client holds
+/// exactly the bytes `phantom run --trace` writes.
 fn stream_trace(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str) -> std::io::Result<()> {
     let i = match lookup(shared, id) {
         Ok(i) => i,
         Err(body) => return http::respond(stream, 404, JSON_TYPE, body.as_bytes()),
     };
-    // Wait for the spool to exist (job may still be queued) — unless
-    // the job ends without ever starting (cancelled while queued).
-    let path = loop {
-        let (state, path) = job_state(shared, i);
-        if path.exists() {
-            break path;
-        }
-        if state.is_terminal() {
-            let body = b"{\"error\":\"job produced no trace (cancelled before start)\"}\n";
-            return http::respond(stream, 404, JSON_TYPE, body);
-        }
-        std::thread::sleep(STREAM_POLL);
+    let (mut seen, mut state, path) = {
+        let state = shared.state.lock().expect("state poisoned");
+        let job = &state.jobs[i];
+        (job.generation, job.state, job.trace_path.clone())
     };
+    // Wait for the spool to exist (job may still be queued) — unless
+    // the job ends without one (cancelled while queued, or failed
+    // before its trace file could be created).
+    while !path.exists() {
+        if state.is_terminal() {
+            let body = format!(
+                "{{\"error\":\"job produced no trace (state: {})\"}}\n",
+                state.as_str()
+            );
+            return http::respond(stream, 404, JSON_TYPE, body.as_bytes());
+        }
+        (seen, state) = next_change(shared, i, seen);
+    }
     http::start_chunked(stream, 200, NDJSON_TYPE)?;
     // Reads are sequential: a read at EOF returns 0 and leaves the
-    // offset in place, so the next poll resumes where this one stopped.
+    // offset in place, so the read after the next wake-up resumes where
+    // this one stopped.
     let mut file = std::fs::File::open(&path)?;
     let mut buf = vec![0u8; 64 * 1024];
     loop {
-        let (state, _) = job_state(shared, i);
-        let terminal = state.is_terminal();
+        // `state` was read before this read-to-EOF began.
         loop {
             let n = file.read(&mut buf)?;
             if n == 0 {
@@ -448,12 +479,12 @@ fn stream_trace(shared: &Arc<Shared>, stream: &mut TcpStream, id: &str) -> std::
             }
             http::write_chunk(stream, &buf[..n])?;
         }
-        if terminal {
+        if state.is_terminal() {
             // State flips only after the worker flushed and dropped
             // the probe, so this read-to-EOF saw every byte.
             return http::end_chunks(stream);
         }
-        std::thread::sleep(STREAM_POLL);
+        (seen, state) = next_change(shared, i, seen);
     }
 }
 
@@ -617,11 +648,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                state = shared
-                    .work_ready
-                    .wait_timeout(state, Duration::from_millis(100))
-                    .expect("state poisoned")
-                    .0;
+                state = shared.work_ready.wait(state).expect("state poisoned");
             }
         };
         let Some(idx) = idx else { return };
@@ -667,9 +694,10 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                     target = (target + step).min(until);
                     d.engine.run_until(SimTime(target));
                     let mut state = shared.state.lock().expect("state poisoned");
-                    state.jobs[idx].events =
-                        phantom_sim::thread_events_dispatched() - events_before;
-                    state.jobs[idx].sim_secs = d.engine.now().as_secs_f64();
+                    let job = &mut state.jobs[idx];
+                    job.events = phantom_sim::thread_events_dispatched() - events_before;
+                    job.sim_secs = d.engine.now().as_secs_f64();
+                    publish(shared, job);
                 }
                 Ok(())
             })
@@ -718,5 +746,6 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                 shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
+        publish(shared, job);
     }
 }

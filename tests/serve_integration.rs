@@ -16,6 +16,10 @@
 //! * **Cancellation**: DELETE on a running metro-chain job flips it to
 //!   `cancelled` promptly, frees the worker for the next job, and
 //!   leaves a truncated-but-lintable trace.
+//! * **Stream wake-ups**: a trace stream opened on a queued job ends
+//!   within a bound when the job is cancelled (404) or runs (the whole
+//!   trace), so a lost wake-up fails a test instead of hanging it; a
+//!   job that ends without a spool gets a 404 naming its state.
 //! * **Drain**: queued and running jobs finish after `drain()`, then
 //!   `wait()` returns cleanly.
 //! * **Storm smoke**: a flood of submissions through a small queue
@@ -28,6 +32,8 @@ use phantom_repro::scenarios::sweep::{run_sweep_with, SweepJob, SweepOptions};
 use phantom_repro::scene::{parse_scene, register_scene, Json};
 use phantom_repro::serve::{client, Server, ServerConfig};
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Per-job sim duration (ms) for the short jobs; debug builds simulate
@@ -69,9 +75,12 @@ fn with_duration_ms(text: &str, ms: f64) -> String {
     text
 }
 
+fn spool_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("phantom-serve-test-{}-{tag}", std::process::id()))
+}
+
 fn start(workers: usize, queue_cap: usize, tag: &str) -> (Server, String) {
-    let spool =
-        std::env::temp_dir().join(format!("phantom-serve-test-{}-{tag}", std::process::id()));
+    let spool = spool_dir(tag);
     let server = Server::start(ServerConfig {
         listen: "127.0.0.1:0".into(),
         workers,
@@ -137,6 +146,56 @@ fn is_terminal(state: &str) -> bool {
     matches!(state, "done" | "failed" | "cancelled")
 }
 
+/// The server's `phantom_serve_http_requests_total`, scraped from
+/// `/metrics` (the scrape counts itself).
+fn requests_read(addr: &str) -> u64 {
+    let resp = client::request(addr, "GET", "/metrics", None).expect("metrics round trip");
+    let text = String::from_utf8_lossy(&resp.body).into_owned();
+    text.lines()
+        .find_map(|l| l.strip_prefix("phantom_serve_http_requests_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("request counter exported")
+}
+
+type TraceFetch = (mpsc::Receiver<Result<Vec<u8>, String>>, JoinHandle<()>);
+
+/// Open `GET /v1/jobs/{id}/trace` on a thread and return once the
+/// server has read that request: its request counter has moved one past
+/// the scrapes that watch it. The fetch's result arrives on the channel.
+fn open_trace_stream(addr: &str, id: &str) -> TraceFetch {
+    let base = requests_read(addr);
+    let (tx, rx) = mpsc::channel();
+    let (server, job) = (addr.to_string(), id.to_string());
+    let fetch = std::thread::spawn(move || {
+        let _ = tx.send(client::fetch_trace(&server, &job));
+    });
+    let t0 = Instant::now();
+    for scrapes in 1u64.. {
+        if requests_read(addr) > base + scrapes {
+            break;
+        }
+        assert!(t0.elapsed() < WAIT, "trace request for {id} never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    (rx, fetch)
+}
+
+/// `phantom run <scene> --seed N --trace` bytes for `scene`.
+fn direct_trace(scene: &phantom_repro::scene::Scene, seed: u64, tag: &str) -> Vec<u8> {
+    let reference = std::env::temp_dir().join(format!(
+        "phantom-serve-test-{}-ref-{tag}-{seed}.jsonl",
+        std::process::id()
+    ));
+    let opts = RunOptions {
+        trace: Some(reference.clone()),
+        ..RunOptions::default()
+    };
+    run_scene_opts(scene, seed, None, &opts).expect("direct run succeeds");
+    let direct = std::fs::read(&reference).expect("reference trace written");
+    let _ = std::fs::remove_file(&reference);
+    direct
+}
+
 /// The headline determinism contract: traces streamed from a 2-worker
 /// server running three concurrent fig2 submissions are byte-identical
 /// to `phantom run` (`run_scene_opts` + `--trace`) on the same text, and
@@ -174,17 +233,7 @@ fn streamed_traces_match_phantom_run_bytes_under_concurrency() {
         let (state, _) = job_state(&addr, id);
         assert_eq!(state, "done", "job {id} completed");
 
-        let reference = std::env::temp_dir().join(format!(
-            "phantom-serve-test-{}-ref-{seed}.jsonl",
-            std::process::id()
-        ));
-        let opts = RunOptions {
-            trace: Some(reference.clone()),
-            ..RunOptions::default()
-        };
-        run_scene_opts(&scene, seed, None, &opts).expect("direct run succeeds");
-        let direct = std::fs::read(&reference).expect("reference trace written");
-        let _ = std::fs::remove_file(&reference);
+        let direct = direct_trace(&scene, seed, "identity");
 
         assert!(
             streamed == direct,
@@ -307,6 +356,90 @@ fn midrun_cancel_frees_worker_and_trace_lints() {
     let next = submit_ok(&addr, &short, 6);
     let (state, _) = wait_for(&addr, &next, |s, _| is_terminal(s));
     assert_eq!(state, "done", "worker released for the next job");
+
+    server.drain();
+    server.wait().expect("clean shutdown");
+}
+
+/// A trace stream waiting on a queued job is woken by the job's end,
+/// not by a timer: with the only worker held by a long job, a stream on
+/// a queued job answers 404 promptly once that job is cancelled, and a
+/// stream on another queued job delivers exactly the `phantom run`
+/// bytes once the long job is cancelled and the queued one runs. Each
+/// fetch reports on a channel with a deadline, so a lost wake-up fails
+/// here instead of hanging. (Streamers share one condvar, so the long
+/// job's heartbeats also wake the first stream; the second has no other
+/// job to wake it once its own run ends.)
+#[test]
+fn queued_trace_streams_wake_on_cancel_and_on_completion() {
+    let long = with_duration_ms(&scene_text("scenes/fig2.json"), 60_000.0);
+    let short = with_duration_ms(&scene_text("scenes/fig2.json"), SHORT_MS);
+    let scene = parse_scene(&short).expect("scene parses");
+    let (server, addr) = start(1, 4, "wake");
+
+    let holder = submit_ok(&addr, &long, 30);
+    wait_for(&addr, &holder, |s, _| s == "running");
+
+    let cancelled = submit_ok(&addr, &short, 31);
+    let (rx, fetch) = open_trace_stream(&addr, &cancelled);
+    let resp = client::cancel(&addr, &cancelled).expect("cancel round trip");
+    assert_eq!(resp.status, 200);
+    let err = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stream on a cancelled queued job ends promptly")
+        .expect_err("a job cancelled while queued has no trace");
+    assert!(
+        err.contains("404") && err.contains("no trace (state: cancelled)"),
+        "404 names the terminal state: {err}"
+    );
+    fetch.join().expect("fetch thread");
+
+    let queued = submit_ok(&addr, &short, 32);
+    let (rx, fetch) = open_trace_stream(&addr, &queued);
+    let resp = client::cancel(&addr, &holder).expect("cancel round trip");
+    assert_eq!(resp.status, 200);
+    // A debug build runs the short job in well under this bound.
+    let streamed = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("stream on a queued job ends once it has run")
+        .expect("trace streams");
+    fetch.join().expect("fetch thread");
+    assert_eq!(job_state(&addr, &queued).0, "done");
+    let direct = direct_trace(&scene, 32, "wake");
+    assert!(
+        streamed == direct,
+        "streamed trace ({} bytes) != phantom run trace ({} bytes)",
+        streamed.len(),
+        direct.len()
+    );
+
+    server.drain();
+    server.wait().expect("clean shutdown");
+}
+
+/// A job that fails before its spool file exists answers the trace
+/// request with a 404 naming `failed`. The spool path is a dangling
+/// symlink, so creating the trace file fails.
+#[cfg(unix)]
+#[test]
+fn failed_job_without_spool_answers_404_naming_its_state() {
+    let short = with_duration_ms(&scene_text("scenes/fig2.json"), SHORT_MS);
+    let (server, addr) = start(1, 4, "nospool");
+    let spool = spool_dir("nospool");
+    let trace = spool.join("job-0001.trace.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    std::os::unix::fs::symlink(spool.join("missing").join("trace.jsonl"), &trace)
+        .expect("symlink in the spool");
+
+    let id = submit_ok(&addr, &short, 41);
+    assert_eq!(id, "job-0001");
+    let (state, _) = wait_for(&addr, &id, |s, _| is_terminal(s));
+    assert_eq!(state, "failed", "the trace file could not be created");
+    let err = client::fetch_trace(&addr, &id).expect_err("a failed job has no trace");
+    assert!(
+        err.contains("404") && err.contains("no trace (state: failed)"),
+        "404 names the terminal state: {err}"
+    );
 
     server.drain();
     server.wait().expect("clean shutdown");
